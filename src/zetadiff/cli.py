@@ -604,7 +604,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--digits", type=int, default=digits, help="display digits")
         sp.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
         sp.add_argument("--out", default=None, help="write output to this path")
-        sp.add_argument("--threads", type=int, default=1)
+        sp.add_argument("--threads", type=int, default=1,
+                        help="accepted for compatibility; the output never depends on it")
 
     sp = sub.add_parser("seq", help="difference-sequence values")
     sp.add_argument("kind", choices=_SEQ_KINDS)

@@ -24,15 +24,22 @@ Two families:
 
 Quadrature is composite Gauss-Legendre with cached nodes, panels graded
 geometrically from the start of each interval (the integrands peak at the
-start and decay fast), pairwise summation of panel contributions, and a
-panel-doubling error estimate.  Truncation heights come from explicit tail
-bounds; a user-supplied height that cannot meet the tolerance raises
-TruncationBoundError rather than returning a silently wrong value.
+start and decay fast), pairwise summation of panel contributions, and an
+embedded error estimate: each panel's rule against one of half its degree.
+On the left line, panels above t = 16 whose proven float64 rounding bound
+fits their share of the tolerance are evaluated in float64 (see
+`_left_line_float`); the bounds join the error estimate.  Truncation
+heights come from explicit tail bounds; a user-supplied height that cannot
+meet the tolerance raises TruncationBoundError rather than returning a
+silently wrong value.
 """
 
 from __future__ import annotations
 
+import cmath
+import functools
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -41,9 +48,9 @@ from mpmath import mpf, mpc, workdps
 
 from . import mpcore
 from .asymptotics import envelope_bound
-from .differences import _binomials
+from .differences import _binomial_sum
 from .errors import DomainError, TruncationBoundError
-from .precision import PrecisionBudget
+from .precision import PrecisionBudget, as_budget
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -78,8 +85,9 @@ class ContourSpec:
             raise DomainError(f"truncation height must be positive, got {self.T}")
         if self.panels is not None and self.panels < 1:
             raise DomainError(f"panel count must be >= 1, got {self.panels}")
-        if self.degree < 2 or self.degree > 256:
-            raise DomainError(f"Gauss-Legendre degree must be in 2..256, got {self.degree}")
+        if self.degree < 3 or self.degree > 256:
+            # below 3 there is no smaller rule left for the error estimate
+            raise DomainError(f"Gauss-Legendre degree must be in 3..256, got {self.degree}")
 
 
 @dataclass(frozen=True)
@@ -168,24 +176,36 @@ def _gl_panel(f, a, b, rule):
     return half * _pairwise_sum(terms)
 
 
-def _panel_record(f, a, b, rule_hi, rule_lo):
-    """(value, error delta) for one panel from an embedded degree pair."""
-    fine = _gl_panel(f, a, b, rule_hi)
-    coarse = _gl_panel(f, a, b, rule_lo)
-    return fine, abs(fine - coarse)
+def _embedded_rules(degree: int, working: int):
+    """The panel rule and the strictly smaller rule its error estimate compares."""
+    return legendre_rule(degree, working), legendre_rule(max(2, degree // 2), working)
 
 
-def _adaptive_quad(f, boundaries, rule_hi, rule_lo, tol_abs, max_panels=3000):
+def _panel_record(f, a, b, rule_hi, rule_lo, fast=None):
+    """(value, error delta, rounding bound) for one panel from an embedded
+    degree pair.  `fast(a, b)` may supply both rule sums and a proven bound
+    on their rounding error; when it returns None, `f` is evaluated."""
+    got = fast(a, b) if fast is not None else None
+    if got is None:
+        fine = _gl_panel(f, a, b, rule_hi)
+        coarse = _gl_panel(f, a, b, rule_lo)
+        return fine, abs(fine - coarse), mpf(0)
+    fine, coarse, bound = got
+    return fine, abs(fine - coarse), bound
+
+
+def _adaptive_quad(f, boundaries, rule_hi, rule_lo, tol_abs, max_panels=3000, fast=None):
     """Composite GL with worst-first bisection until the summed embedded
     deltas drop below tol_abs (or the panel budget runs out; the returned
-    error estimate stays honest either way)."""
+    error estimate stays honest either way).  The returned error estimate
+    includes the rounding bounds of panels that `fast` evaluated."""
     panels = {}
     heap = []
     serial = 0
     err = mpf(0)
     for a, b in zip(boundaries, boundaries[1:]):
-        fine, delta = _panel_record(f, a, b, rule_hi, rule_lo)
-        panels[serial] = (a, b, fine, delta)
+        fine, delta, bound = _panel_record(f, a, b, rule_hi, rule_lo, fast)
+        panels[serial] = (a, b, fine, delta, bound)
         heapq.heappush(heap, (-delta, serial))
         err += delta
         serial += 1
@@ -196,15 +216,15 @@ def _adaptive_quad(f, boundaries, rule_hi, rule_lo, tol_abs, max_panels=3000):
         rec = panels.get(key)
         if rec is None:
             continue
-        a, b, _, delta = rec
+        a, b, _, delta, _ = rec
         if delta <= tol_abs / (4 * max(1, len(panels))):
             break  # worst panel is already negligible; the rest are smaller
         mid = (a + b) / 2
         del panels[key]
         err -= delta
         for lo, hi in ((a, mid), (mid, b)):
-            fine, dlt = _panel_record(f, lo, hi, rule_hi, rule_lo)
-            panels[serial] = (lo, hi, fine, dlt)
+            fine, dlt, bound = _panel_record(f, lo, hi, rule_hi, rule_lo, fast)
+            panels[serial] = (lo, hi, fine, dlt, bound)
             heapq.heappush(heap, (-dlt, serial))
             err += dlt
             serial += 1
@@ -215,6 +235,8 @@ def _adaptive_quad(f, boundaries, rule_hi, rule_lo, tol_abs, max_panels=3000):
     ordered = sorted(panels.values(), key=lambda rec: (rec[0], rec[1]))
     value = _pairwise_sum([rec[2] for rec in ordered])
     err = _pairwise_sum([rec[3] for rec in ordered])
+    if fast is not None:
+        err += _pairwise_sum([rec[4] for rec in ordered])
     return value, err
 
 
@@ -241,25 +263,189 @@ def _gl_capacity(degree: int) -> float:
     return 0.7 * 2 * degree * 10 ** (-14.0 / (2 * degree))
 
 
+# -- float64 tier of the left line --------------------------------------------
+#
+# Far up the left line the integrand lies many orders below the tolerance, yet
+# one mpmath zeta(1-s) there costs ~0.1 s (t ~ 6000, 36 digits).  A panel is
+# evaluated in float64 instead when the proven bound on its rounding error fits
+# its share of the tolerance; the bound is added to the error estimate.
+
+_U = 2.0**-53  # unit roundoff of IEEE double
+_LN_2PI = math.log(2 * math.pi)
+_FLOAT_T_MIN = 16.0  # 10 Stirling terms reach 1e-21 there
+_STIRLING_TERMS = 10
+_EM_TERMS = 60
+
+
+@functools.lru_cache(maxsize=None)
+def _bernoulli_floats():
+    """(B_2j (2 pi)^2j / (2j)!,  B_2j / (2j (2j-1))) for j = 1.._EM_TERMS."""
+    with workdps(30):
+        return tuple(
+            (
+                float(mpmath.bernoulli(2 * j) * (2 * mpmath.pi) ** (2 * j) / mpmath.factorial(2 * j)),
+                float(mpmath.bernoulli(2 * j) / (2 * j * (2 * j - 1))),
+            )
+            for j in range(1, _EM_TERMS + 1)
+        )
+
+
+@functools.lru_cache(maxsize=32)
+def _dirichlet_terms(sigma: float, size: int):
+    """k^-sigma and ln k for k = 1..size, and the running sums of k^-sigma
+    and k^-sigma ln k (index m holds the sum over k <= m)."""
+    amps = tuple(k**-sigma for k in range(1, size + 1))
+    logs = tuple(math.log(k) for k in range(1, size + 1))
+    sum_a = tuple(itertools.accumulate(amps, initial=0.0))
+    sum_al = tuple(itertools.accumulate((a * lk for a, lk in zip(amps, logs)), initial=0.0))
+    return amps, logs, sum_a, sum_al
+
+
+def _left_line_float(t: float, sigma: float, n: int, ln_fact: float) -> tuple[float, float]:
+    """(Re[zeta(s) K_n(s)] at s = 1 - sigma + i t in float64, bound on its error).
+
+    zeta(s) = chi(s) zeta(w) with w = 1 - s = sigma - i t:
+
+    * zeta(w) by Euler-Maclaurin with N ~ |w|/pi terms; its remainder after
+      M corrections is at most 4 |(w)_2M| / (2 pi N)^2M N^(1-sigma) /
+      (sigma+2M-1) (Johansson 2014, Thm 1).
+    * log chi(s) = (s-1) ln 2pi - i pi (s-1)/2 + log(1 - e^(i pi s))
+      + log Gamma(w), from sin(pi s/2) = (i/2) e^(-i pi s/2) (1 - e^(i pi s));
+      Stirling's series for log Gamma(w) stops after J terms with remainder
+      at most the next term times sec^(2J+2)(arg(w)/2) <= 2^(J+1) (DLMF 5.11.ii).
+    * log K_n(s) = ln n! - sum_j log(s - j).
+
+    The bound charges every float operation one unit roundoff per operand
+    magnitude, with margin: the phase t ln k of each k^(it) (including the
+    rounding of t itself), the summation of the N head terms, the products
+    behind each correction term and the large terms of log chi.
+    """
+    u = _U
+    s = complex(1.0 - sigma, t)
+    w = complex(sigma, -t)
+    # zeta(w): head, tail and corrections
+    big_n = int(abs(w) / math.pi) + 8
+    # tables come in power-of-two sizes, so a handful serve the whole line
+    amps, logs, sum_a, sum_al = _dirichlet_terms(sigma, 1 << (big_n - 1).bit_length())
+    cos, sin = math.cos, math.sin
+    re = im = 0.0
+    for a, lk in itertools.islice(zip(amps, logs), big_n - 1):
+        ph = t * lk
+        re += a * cos(ph)
+        im += a * sin(ph)
+    head = complex(re, im)
+    err_head = 2 * u * (6 * t * sum_al[big_n - 1] + (big_n + 4) * sum_a[big_n - 1])
+    ln_n = math.log(big_n)
+    a_n = big_n**-sigma
+    n_w = a_n * complex(cos(t * ln_n), sin(t * ln_n))  # N^-w
+    n_w1 = big_n * n_w  # N^(1-w)
+    eps_n = u * (6 * t * ln_n + 4)
+    tail = n_w1 / (w - 1) + n_w / 2
+    err_tail = a_n * (big_n / abs(w - 1) * (eps_n + 4 * u) + (eps_n + u) / 2)
+    two_pi_n = 2 * math.pi * big_n
+    c0 = n_w1 / two_pi_n
+    q = w / two_pi_n  # (w)_(2j-1) / (2 pi N)^(2j-1)
+    corr = 0j
+    corr_abs = corr_weighted = 0.0
+    rem = 0.0
+    coeffs = _bernoulli_floats()
+    for j, (bt, _) in enumerate(coeffs, start=1):
+        term = bt * q * c0
+        corr += term
+        corr_abs += abs(term)
+        corr_weighted += j * abs(term)
+        rem = 4 * abs(q) * abs(w + (2 * j - 1)) / two_pi_n * a_n * big_n / (sigma + 2 * j - 1)
+        if rem < 1e-4 * u:
+            break
+        q *= (w + (2 * j - 1)) * (w + 2 * j) / (two_pi_n * two_pi_n)
+    err_corr = 8 * u * (corr_weighted + corr_abs) + (eps_n + len(coeffs) * u) * corr_abs
+    zeta_w = head + tail + corr
+    err_zeta = err_head + err_tail + err_corr + rem + 2 * u * (abs(head) + abs(tail) + corr_abs)
+
+    # log chi(s) + log K_n(s)
+    log_w = cmath.log(w)
+    inv_w = 1 / w
+    inv_w2 = inv_w * inv_w
+    p = inv_w
+    stirling = (w - 0.5) * log_w - w + 0.5 * _LN_2PI
+    stirling_abs = 0.0
+    for _, sc in coeffs[:_STIRLING_TERMS]:
+        stirling += sc * p
+        stirling_abs += abs(sc * p)
+        p *= inv_w2
+    rem_gamma = abs(coeffs[_STIRLING_TERMS][1]) * abs(p) * 2.0 ** (_STIRLING_TERMS + 1)
+    log_k = [cmath.log(s - j) for j in range(n + 1)]
+    big_l = (
+        (s - 1) * _LN_2PI
+        - 0.5j * math.pi * (s - 1)
+        + cmath.log(1 - cmath.exp(complex(-math.pi * t, math.pi * (1.0 - sigma))))
+        + stirling
+        + ln_fact
+        - math.fsum(z.real for z in log_k)
+        - 1j * math.fsum(z.imag for z in log_k)
+    )
+    err_l = (
+        8 * u * (abs(s - 1) * (_LN_2PI + math.pi / 2) + abs(w - 0.5) * abs(log_w) + abs(w) + 2)
+        + 8 * u * stirling_abs
+        + rem_gamma
+        + (n + 8) * u * (ln_fact + sum(abs(z) for z in log_k))
+    )
+    value = cmath.exp(big_l) * zeta_w
+    mag = math.exp(big_l.real)
+    err = 1.25 * mag * (abs(zeta_w) * (err_l + 4 * u) + err_zeta) * (1 + 2 * err_l)
+    return value.real, err
+
+
+def _left_line_fast(n: int, c, T, tol_abs, rule_hi, rule_lo):
+    """Panel evaluator for `_adaptive_quad` on the left line: the float64 tier,
+    taken when the panel [a, b] lies above _FLOAT_T_MIN and its rounding bound
+    is within tol_abs (b - a) / T, so the bounds of all panels sum to at most
+    tol_abs."""
+    sigma = 1.0 - float(c)
+    ln_fact = math.lgamma(n + 1)
+    rules = [[(float(x), float(wt)) for x, wt in rule] for rule in (rule_hi, rule_lo)]
+    per_length = float(tol_abs) / float(T)
+
+    def panel_sum(rule, mid, half):
+        acc = acc_abs = acc_err = 0.0
+        for x, wt in rule:
+            v, e = _left_line_float(mid + half * x, sigma, n, ln_fact)
+            acc += wt * v
+            acc_abs += wt * abs(v)
+            acc_err += wt * e
+        return half * acc, half * (acc_err + (len(rule) + 4) * _U * acc_abs)
+
+    def fast(a, b):
+        if a < _FLOAT_T_MIN:
+            return None
+        mid, half = float((a + b) / 2), float((b - a) / 2)
+        fine, bound = panel_sum(rules[0], mid, half)
+        if not bound <= per_length * 2 * half:
+            return None
+        coarse, _ = panel_sum(rules[1], mid, half)
+        return mpf(fine), mpf(coarse), mpf(bound)
+
+    return fast
+
+
 def rice_sum_residues(phi, n0: int, n: int, prec=15):
     """Finite alternating binomial sum  sum_{k=n0}^{n} C(n,k) (-1)^k phi(k).
 
     This is the residue side of the line-integral representation; phi may
-    return real or complex values.
+    return real or complex values.  It runs at the budget of delta_n, which
+    carries the n*log10(2) digits the sum cancels: phi is evaluated at those
+    working digits and its real and imaginary parts go through the exact
+    integer kernel of `differences`.
     """
     if n < 0 or n0 < 0 or n0 > n:
         raise DomainError(f"need 0 <= n0 <= n, got n0={n0}, n={n}")
-    working = prec.working_digits if isinstance(prec, PrecisionBudget) else int(prec) + 10
+    working = as_budget(prec, "delta", n).working_digits
     with workdps(working):
-        terms = []
-        for k, cnk in _binomials(n):
-            if k < n0:
-                continue
-            val = phi(k)
-            sign = -1 if k % 2 else 1
-            terms.append(mpmath.mpmathify(val) * (sign * cnk))
-        total = _pairwise_sum(terms)
-        return +total
+        vals = [mpmath.mpmathify(phi(k)) if k >= n0 else mpf(0) for k in range(n + 1)]
+    real = _binomial_sum(n, [v.real for v in vals], working)
+    if all(isinstance(v, mpf) for v in vals):
+        return real
+    return mpc(real, _binomial_sum(n, [v.imag for v in vals], working))
 
 
 def _rice_kernel(s, n: int, ln_fact):
@@ -430,8 +616,7 @@ def rice_integral(kind: str, n: int, prec=15, spec: ContourSpec | None = None) -
             # long left lines are oscillation-dominated; a wider panel rule
             # absorbs more phase per node (measured ~25% cheaper at n=5)
             degree = 64
-        rule_hi = legendre_rule(degree, working)
-        rule_lo = legendre_rule(max(6, degree // 2), working)
+        rule_hi, rule_lo = _embedded_rules(degree, working)
         if spec.panels is not None:
             boundaries = _graded_boundaries(0, T, spec.panels)
         elif kind == "zeta-left":
@@ -446,7 +631,10 @@ def rice_integral(kind: str, n: int, prec=15, spec: ContourSpec | None = None) -
                 float(t_head), float(T), freq_for(float(tol_abs)), _gl_capacity(degree)
             )
             boundaries = head + osc[1:]
-        integral, quad_err = _adaptive_quad(f, boundaries, rule_hi, rule_lo, tol_abs / 2)
+        fast = None
+        if kind == "zeta-left":
+            fast = _left_line_fast(n, c, T, tol_abs / 4, rule_hi, rule_lo)
+        integral, quad_err = _adaptive_quad(f, boundaries, rule_hi, rule_lo, tol_abs / 2, fast=fast)
 
         sign = 1 if n % 2 else -1
         value = +(sign * integral / mpmath.pi)
@@ -527,8 +715,7 @@ def saddle_contour_integral(n: int, prec=15, spec: ContourSpec | None = None) ->
             tail, tol_abs, spec.T, f"saddle contour at n={n}", T_start=h_end * mpf("1.2")
         )
 
-        rule_hi = legendre_rule(spec.degree, working)
-        rule_lo = legendre_rule(max(6, spec.degree // 2), working)
+        rule_hi, rule_lo = _embedded_rules(spec.degree, working)
         base = spec.panels if spec.panels is not None else 12
 
         slant_bounds = _uniform_boundaries(0, u_end, base)

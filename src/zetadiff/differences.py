@@ -19,22 +19,30 @@ Every operation sizes its working precision from the budget rules in
 small results cost their own scale on routes that assemble them from O(1)
 pieces) and refuses budgets that cannot reach the requested target.
 
-Threading: batch evaluation (`sequence_many`) prefills the scalar caches
-single-threaded, then dispatches workers that only take cache-hit paths at
-one fixed precision, so results are bit-identical for any thread count.
-The two methods with internal precision lifting (delta 'series', d
-'moebius') always run serially; their results don't depend on threads
-either way.
+One exact kernel serves every binomial route.  The inputs x_k (zeta(k),
+zeta(l, m/k)/k^l, 1/zeta(k) or zeta(k+1)/(k+1)), taken from `mpcore` at the
+working digits w, are rounded down to integers X_k = floor(x_k 2^P) with
+P = dps_to_prec(w) + 10 bits, each within one unit of 2^-P.  The sum
+S_n = sum_k C(n,k) (-1)^k X_k is then exact, so the transform adds at most
+2^n units of 2^-P to the error its inputs carry; the cancellation digits of
+the budget cover that.  b_n and a_n are assembled in the same fixed point
+with exact harmonic numbers, and every value is rounded once, to w digits.
+A single index costs one dot product with C(n,k).  A batch
+(`sequence_many`) reads each input once and, for a dense index set, takes
+every S_n from one difference table in O(N^2/2) integer subtractions.  Both
+routes give the same integers, so batch values equal single-call values at
+the same budget bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 
 import mpmath
-from mpmath import mpf, mpc, workdps
+from mpmath import mpc, mpf, workdps
+from mpmath.libmp import dps_to_prec, from_rational, round_nearest, to_fixed
 
 from . import mpcore
 from .errors import DomainError
@@ -86,14 +94,6 @@ class CharacterTable:
     def _chi(self, m: int):
         return self.values[(m - 1) % self.k]
 
-    @classmethod
-    def trivial(cls) -> "CharacterTable":
-        return cls(1, (1,))
-
-    @classmethod
-    def principal(cls, k: int) -> "CharacterTable":
-        return cls(k, tuple(1 if math.gcd(m, k) == 1 else 0 for m in range(1, k + 1)))
-
 
 def _check_index(n, minimum=0) -> int:
     if isinstance(n, bool) or not isinstance(n, int):
@@ -103,23 +103,111 @@ def _check_index(n, minimum=0) -> int:
     return n
 
 
-def _binomials(n: int):
-    """Yield (k, C(n,k)) for k = 0..n, exact integers by ratio update."""
-    c = 1
-    for k in range(0, n + 1):
-        yield k, c
-        c = c * (n - k) // (k + 1)
+def _fixed_bits(working: int) -> int:
+    """Fraction bits P of the fixed-point kernel at `working` digits."""
+    return dps_to_prec(working) + 10
 
 
-def _delta_binomial(n: int, working: int) -> mpf:
+def _to_fixed(x: mpf, bits: int) -> int:
+    """floor(x 2^bits)."""
+    return to_fixed(x._mpf_, bits)
+
+
+def _from_fixed(num: int, bits: int, working: int, den: int = 1) -> mpf:
+    """num / (den 2^bits), rounded once to `working` digits."""
+    return mpmath.mp.make_mpf(
+        from_rational(num, den << bits, dps_to_prec(working), round_nearest)
+    )
+
+
+def _binomial_dot(n: int, xs: list[int]) -> int:
+    """sum_{k=0..n} C(n,k) (-1)^k xs[k], exactly."""
+    acc, cnk = 0, 1
+    for k in range(n + 1):
+        acc += cnk * xs[k] if k % 2 == 0 else -cnk * xs[k]
+        cnk = cnk * (n - k) // (k + 1)
+    return acc
+
+
+def _difference_table(xs: list[int], ns) -> dict[int, int]:
+    """The sums of `_binomial_dot` for every n in ns, by repeated differencing:
+    sum_k C(n,k) (-1)^k xs[k] = (-1)^n (Delta^n xs)[0]."""
+    wanted = set(ns)
+    sums = {}
+    row = xs
+    for n in range(max(wanted) + 1):
+        if n in wanted:
+            sums[n] = row[0] if n % 2 == 0 else -row[0]
+        row = [hi - lo for lo, hi in zip(row, row[1:])]
+    return sums
+
+
+def _binomial_sum(n: int, xs: list, working: int) -> mpf:
+    """sum_{k=0..n} C(n,k) (-1)^k xs[k] for mpf inputs, through the kernel."""
+    bits = _fixed_bits(working)
+    return _from_fixed(_binomial_dot(n, [_to_fixed(x, bits) for x in xs]), bits, working)
+
+
+def _input(kind: str, k: int, working: int, q) -> mpf:
+    """x_k of the kind's alternating sum at the active precision (k >= 2; k >= 1 for c)."""
+    if kind == "c":
+        return mpcore.zeta_int(k + 1, working) / (k + 1)
+    if kind in ("A", "a"):
+        return mpcore.hurwitz_int(k, q, working) / mpf(q.k) ** k
+    if kind == "d":
+        return 1 / mpcore.zeta_int(k, working)
+    return mpcore.zeta_int(k, working)
+
+
+def _harmonic_fixed(ns, bits: int) -> dict[int, int]:
+    """floor(H_{n-1} 2^bits) for every n in ns, from one running exact sum."""
+    out, h, j = {}, Fraction(0), 0
+    for n in sorted(set(ns)):
+        while j < n - 1:
+            j += 1
+            h += Fraction(1, j)
+        out[n] = (h.numerator << bits) // h.denominator
+    return out
+
+
+def _kernel(kind: str, ns, working: int, q=None) -> dict[int, mpf]:
+    """Values of a binomial-route kind at every n in ns, at `working` digits."""
+    bits = _fixed_bits(working)
+    top = max(ns)
+    xs = [0] * (top + 1)
     with workdps(working):
-        acc = mpf(0)
-        for k, cnk in _binomials(n):
-            if k < 2:
-                continue
-            term = mpf(cnk) * mpcore.zeta_int(k, working)
-            acc = acc + term if k % 2 == 0 else acc - term
-        return +acc
+        for k in range(1 if kind == "c" else 2, top + 1):
+            xs[k] = _to_fixed(_input(kind, k, working, q), bits)
+    wanted = set(ns)
+    if 2 * len(wanted) > top:
+        sums = _difference_table(xs, wanted)
+    else:
+        sums = {n: _binomial_dot(n, xs) for n in wanted}
+    if kind in ("delta", "A", "d"):
+        return {n: _from_fixed(s, bits, working) for n, s in sums.items()}
+    if kind == "c":
+        return {n: _from_fixed(-s, bits, working) for n, s in sums.items()}
+
+    one = 1 << bits
+    gamma = _to_fixed(mpcore.euler_gamma(working), bits)
+    harm = _harmonic_fixed(wanted, bits)
+    if kind == "b":
+        return {
+            n: mpf("0.5") if n == 0
+            else _from_fixed(n * (one - gamma - harm[n]) - one // 2 + s, bits, working)
+            for n, s in sums.items()
+        }
+    # a: 2k a_n = 2k A_n - (2m - k) + 2n [psi(m/k) + ln k + 1 - H_{n-1}]
+    with workdps(working):
+        psi = _to_fixed(mpcore.digamma_rational(q, working), bits)
+        lnk = _to_fixed(mpmath.ln(q.k), bits)
+    return {
+        n: _from_fixed(
+            2 * q.k * s - (2 * q.m - q.k) * one + 2 * n * (psi + lnk + one - harm[n]),
+            bits, working, den=2 * q.k,
+        )
+        for n, s in sums.items()
+    }
 
 
 def _delta_series(n: int, working: int, target: int) -> mpf:
@@ -153,10 +241,10 @@ def delta(n: int, prec: PrecisionBudget | int = 15, method: str = "binomial") ->
     if method not in _DELTA_METHODS:
         raise DomainError(f"delta method must be one of {_DELTA_METHODS}, got {method!r}")
     budget = as_budget(prec, "delta", n, method=method)
-    if n < 2:
+    if method == "binomial":
+        value = _kernel("delta", [n], budget.working_digits)[n]
+    elif n < 2:
         value = mpf(0)
-    elif method == "binomial":
-        value = _delta_binomial(n, budget.working_digits)
     else:
         value = _delta_series(n, budget.working_digits, budget.target_digits)
     return SequencePoint(n, value, method, budget.target_digits)
@@ -166,13 +254,7 @@ def b(n: int, prec: PrecisionBudget | int = 15) -> SequencePoint:
     """Newton coefficient b_n of zeta(s) - 1/(s-1); b_0 = 1/2."""
     n = _check_index(n)
     budget = as_budget(prec, "b", n)
-    w = budget.working_digits
-    if n == 0:
-        return SequencePoint(0, mpf("0.5"), "binomial", budget.target_digits)
-    with workdps(w):
-        gamma = mpcore.euler_gamma(w)
-        h = mpcore.harmonic_mpf(n - 1, w)
-        value = +(n * (1 - gamma - h) - mpf("0.5") + _delta_binomial(n, w))
+    value = _kernel("b", [n], budget.working_digits)[n]
     return SequencePoint(n, value, "binomial", budget.target_digits)
 
 
@@ -181,18 +263,7 @@ def A(n: int, shift, prec: PrecisionBudget | int = 15) -> SequencePoint:
     n = _check_index(n)
     q = _coerce_shift(shift)
     budget = as_budget(prec, "A", n, k=q.k)
-    w = budget.working_digits
-    if n < 2:
-        return SequencePoint(n, mpf(0), "binomial", budget.target_digits)
-    with workdps(w):
-        acc = mpf(0)
-        kk = mpf(q.k)
-        for ell, cnl in _binomials(n):
-            if ell < 2:
-                continue
-            term = mpf(cnl) * mpcore.hurwitz_int(ell, q, w) / kk ** ell
-            acc = acc + term if ell % 2 == 0 else acc - term
-        value = +acc
+    value = _kernel("A", [n], budget.working_digits, q)[n]
     return SequencePoint(n, value, "binomial", budget.target_digits)
 
 
@@ -201,15 +272,7 @@ def a(n: int, shift, prec: PrecisionBudget | int = 15) -> SequencePoint:
     n = _check_index(n, minimum=1)
     q = _coerce_shift(shift)
     budget = as_budget(prec, "a", n, k=q.k)
-    w = budget.working_digits
-    with workdps(w):
-        big = A(n, q, PrecisionBudget(budget.target_digits, w, budget.guard_digits)).value
-        gamma = mpcore.euler_gamma(w)
-        h = mpcore.harmonic_mpf(n - 1, w)
-        psi_q = mpcore.digamma_rational(q, w)
-        mk = +mpmath.fraction(q.m, q.k)
-        lnk = mpmath.ln(mpf(q.k))
-        value = +(big - (mk - mpf("0.5")) + (mpf(n) / q.k) * (psi_q + lnk + 1 - h))
+    value = _kernel("a", [n], budget.working_digits, q)[n]
     return SequencePoint(n, value, "residue-adjusted", budget.target_digits)
 
 
@@ -289,17 +352,10 @@ def d(n: int, prec: PrecisionBudget | int = 15, method: str = "binomial") -> Seq
     if method not in _D_METHODS:
         raise DomainError(f"d method must be one of {_D_METHODS}, got {method!r}")
     budget = as_budget(prec, "d", n, method=method)
-    if n < 2:
+    if method == "binomial":
+        value = _kernel("d", [n], budget.working_digits)[n]
+    elif n < 2:
         value = mpf(0)
-    elif method == "binomial":
-        with workdps(budget.working_digits):
-            acc = mpf(0)
-            for k, cnk in _binomials(n):
-                if k < 2:
-                    continue
-                term = mpf(cnk) / mpcore.zeta_int(k, budget.working_digits)
-                acc = acc + term if k % 2 == 0 else acc - term
-            value = +acc
     else:
         value = _d_moebius(n, budget.working_digits, budget.target_digits)
     return SequencePoint(n, value, method, budget.target_digits)
@@ -309,16 +365,7 @@ def c(n: int, prec: PrecisionBudget | int = 15) -> SequencePoint:
     """c_n = -sum_{k=1..n} C(n,k)(-1)^k zeta(k+1)/(k+1) (~ H_n + gamma - 1)."""
     n = _check_index(n)
     budget = as_budget(prec, "c", n)
-    if n == 0:
-        return SequencePoint(0, mpf(0), "binomial", budget.target_digits)
-    with workdps(budget.working_digits):
-        acc = mpf(0)
-        for k, cnk in _binomials(n):
-            if k < 1:
-                continue
-            term = mpf(cnk) * mpcore.zeta_int(k + 1, budget.working_digits) / (k + 1)
-            acc = acc + term if k % 2 == 0 else acc - term
-        value = +(-acc)
+    value = _kernel("c", [n], budget.working_digits)[n]
     return SequencePoint(n, value, "binomial", budget.target_digits)
 
 
@@ -354,17 +401,8 @@ def D_of(x, prec: PrecisionBudget | int = 15) -> mpf:
         return +acc
 
 
-_KIND_FUNCS = {
-    "delta": lambda n, prec, shift, method: delta(n, prec, method or "binomial"),
-    "b": lambda n, prec, shift, method: b(n, prec),
-    "A": lambda n, prec, shift, method: A(n, shift, prec),
-    "a": lambda n, prec, shift, method: a(n, shift, prec),
-    "d": lambda n, prec, shift, method: d(n, prec, method or "binomial"),
-    "c": lambda n, prec, shift, method: c(n, prec),
-}
-
-# methods with internal precision lifting; always dispatched serially
-_SERIAL_METHODS = {("delta", "series"), ("d", "moebius")}
+_METHODS = {"delta": _DELTA_METHODS, "d": _D_METHODS}
+_KINDS = ("delta", "b", "A", "a", "d", "c")
 
 
 def sequence_many(
@@ -375,17 +413,23 @@ def sequence_many(
     method: str | None = None,
     threads: int = 1,
 ) -> list[SequencePoint]:
-    """Evaluate one sequence kind over many indices with shared caches.
+    """Evaluate one sequence kind over many indices at one working precision.
 
-    One working precision (sized for the largest index) serves the whole
-    batch; the integer-zeta/Hurwitz/digamma caches are prefilled before any
-    worker starts, so threaded runs only take read-only cache paths and the
-    output is bit-identical for every `threads` value.
+    The working precision is sized for the largest index, so every value
+    equals the single call at that budget bit for bit.  Binomial routes read
+    each input once from the prefilled caches and run the exact kernel once
+    for the whole batch; the rearranged routes (delta 'series', d 'moebius')
+    go index by index.  `threads` is accepted for compatibility and changes
+    nothing: the batch is integer arithmetic that threads cannot share under
+    the interpreter lock, so it runs in the calling thread.
     """
-    if kind not in _KIND_FUNCS:
+    if kind not in _KINDS:
         raise DomainError(f"unknown sequence kind {kind!r}")
     if not ns:
         raise DomainError("empty index list")
+    allowed = _METHODS.get(kind, ("binomial",))
+    if method is not None and method not in allowed:
+        raise DomainError(f"{kind} method must be one of {allowed}, got {method!r}")
     for n in ns:
         _check_index(n, minimum=1 if kind == "a" else 0)
     q = None
@@ -396,31 +440,15 @@ def sequence_many(
         kind, n_max, target_digits, k=q.k if q else 1, method=method
     )
     budget = PrecisionBudget(target_digits, working)
+    if method == "series":
+        return [delta(n, budget, method) for n in ns]
+    if method == "moebius":
+        return [d(n, budget, method) for n in ns]
 
-    # single-writer prefill phase
-    if (method or "binomial") == "binomial":
-        max_ell = n_max + 1 if kind == "c" else n_max
-        mpcore.prefill_zeta_cache(max(max_ell, 2), working)
-    if q is not None:
+    if q is None:
+        mpcore.prefill_zeta_cache(max(n_max + (kind == "c"), 2), working)
+    else:
         mpcore.prefill_hurwitz_cache(max(n_max, 2), q, working)
-        mpcore.prefill_constant_cache(working, shifts=(q,))
-    else:
-        mpcore.prefill_constant_cache(working)
-
-    fn = _KIND_FUNCS[kind]
-    serial = (kind, method or "binomial") in _SERIAL_METHODS
-
-    def task(n):
-        return fn(n, budget, q, method)
-
-    if threads > 1 and not serial:
-        old = mpmath.mp.dps
-        mpmath.mp.dps = working
-        try:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(task, ns))
-        finally:
-            mpmath.mp.dps = old
-    else:
-        results = [task(n) for n in ns]
-    return results
+    values = _kernel(kind, ns, working, q)
+    label = "residue-adjusted" if kind == "a" else "binomial"
+    return [SequencePoint(n, values[n], label, target_digits) for n in ns]

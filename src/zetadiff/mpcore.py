@@ -11,10 +11,8 @@ Scalar kernel ops have no cancellation of their own; the sequence layer is
 where targets get inflated into working budgets.
 
 Cache discipline: `prefill_zeta_cache` / `prefill_hurwitz_cache` are the only
-writers and must run before any multi-threaded phase; readers never mutate.
-Cached values are stored at the prefill precision and re-rounded down to the
-caller's working precision, so a batch that prefills once gets bit-identical
-reads regardless of thread count.
+writers; readers never mutate.  Cached values are stored at the prefill
+precision and re-rounded down to the caller's working precision.
 """
 
 from __future__ import annotations
@@ -34,12 +32,6 @@ _ZETA_CACHE_DPS = 0
 
 _HURWITZ_CACHE: dict[tuple[int, int, int], mpf] = {}
 _HURWITZ_CACHE_DPS = 0
-
-_EULER_VALUE: mpf | None = None
-_EULER_DPS = 0
-
-_DIGAMMA_CACHE: dict[tuple[int, int], mpf] = {}
-_DIGAMMA_CACHE_DPS = 0
 
 
 @dataclass(frozen=True)
@@ -93,9 +85,8 @@ def _check_int_exponent(ell) -> int:
 def prefill_zeta_cache(max_ell: int, working_digits: int) -> None:
     """Compute zeta(2..max_ell) once at `working_digits`.
 
-    Single-writer: call before spawning worker threads.  Raising the
-    precision discards the old cache; lowering it is a no-op for precision
-    (existing entries already carry more digits).
+    Raising the precision discards the old cache; lowering it is a no-op
+    for precision (existing entries already carry more digits).
     """
     global _ZETA_CACHE_DPS
     if working_digits > _ZETA_CACHE_DPS:
@@ -105,11 +96,6 @@ def prefill_zeta_cache(max_ell: int, working_digits: int) -> None:
         for ell in range(2, max_ell + 1):
             if ell not in _ZETA_CACHE:
                 _ZETA_CACHE[ell] = mpmath.zeta(ell)
-
-
-def zeta_cache_state() -> tuple[int, int]:
-    """(number of cached integer zeta values, their stored precision)."""
-    return len(_ZETA_CACHE), _ZETA_CACHE_DPS
 
 
 def zeta_int(ell: int, prec=None) -> mpf:
@@ -125,7 +111,7 @@ def zeta_int(ell: int, prec=None) -> mpf:
 
 
 def prefill_hurwitz_cache(max_ell: int, shift, working_digits: int) -> None:
-    """Compute zeta(2..max_ell, m/k) once at `working_digits` (single-writer)."""
+    """Compute zeta(2..max_ell, m/k) once at `working_digits`."""
     global _HURWITZ_CACHE_DPS
     shift = _coerce_shift(shift)
     if working_digits > _HURWITZ_CACHE_DPS:
@@ -143,15 +129,16 @@ def hurwitz_int(ell: int, shift, prec=None) -> mpf:
     """zeta(ell, a) for integer ell >= 2.
 
     `shift` is a RationalShift / (m, k) tuple for a = m/k in (0, 1], or a
-    plain int a >= 1 (used by series tail corrections).
+    plain int a >= 1 (used by series tail corrections).  The integer branch
+    is correct to `prec` digits relative to the value, however small
+    (see `_hurwitz_em`).
     """
     ell = _check_int_exponent(ell)
     working = _working_digits(prec)
     if isinstance(shift, int) and not isinstance(shift, bool):
         if shift < 1:
             raise DomainError(f"integer shift must be >= 1, got {shift}")
-        with workdps(working):
-            return +mpmath.zeta(ell, shift)
+        return _hurwitz_em(ell, shift, working)
     shift = _coerce_shift(shift)
     with workdps(working):
         key = (ell, shift.m, shift.k)
@@ -165,35 +152,53 @@ def hurwitz_int(ell: int, shift, prec=None) -> mpf:
         return +v
 
 
-def prefill_constant_cache(working_digits: int, shifts: tuple = ()) -> None:
-    """Materialize Euler's constant (and digamma at the given shifts) once.
+def _hurwitz_em(ell: int, a: int, working: int) -> mpf:
+    """zeta(ell, a) for integers ell >= 2, a >= 1, to `working` digits relative.
 
-    Same single-writer discipline as the zeta caches; worker threads then
-    read these values without touching any evaluation machinery.
+    mpmath's Hurwitz zeta stops its Euler-Maclaurin tail at an absolute
+    tolerance, so at a ~ 2n it loses up to ~ell*log10(a) digits of a value
+    near a^(1-ell).  Here the direct sum runs up to x = max(a, ell, w/2+6)
+    and the tail terms stop once the remainder bound (Johansson 2014, Thm 1)
+
+        |R_M| <= 4 |(ell)_(2M)| / (2 pi)^(2M) * x^(1-ell-2M) / (ell+2M-1)
+
+    drops below 2^-prec of the leading term x^(1-ell)/(ell-1).  The direct
+    terms and the leading terms are positive and the alternating Bernoulli
+    corrections stay below ell(ell-1)/(12 x^2) <= 1/12 of the leading term,
+    so the sum cancels no digits.
     """
-    global _EULER_VALUE, _EULER_DPS, _DIGAMMA_CACHE_DPS
-    if working_digits > _EULER_DPS:
-        with workdps(working_digits):
-            _EULER_VALUE = +mpmath.euler
-        _EULER_DPS = working_digits
-    if shifts and working_digits > _DIGAMMA_CACHE_DPS:
-        _DIGAMMA_CACHE.clear()
-        _DIGAMMA_CACHE_DPS = working_digits
-    for shift in shifts:
-        shift = _coerce_shift(shift)
-        key = (shift.m, shift.k)
-        if key not in _DIGAMMA_CACHE:
-            with workdps(_DIGAMMA_CACHE_DPS + 10):
-                v = mpmath.digamma(shift.as_mpf())
-            with workdps(_DIGAMMA_CACHE_DPS):
-                _DIGAMMA_CACHE[key] = +v
+    with workdps(working + 10):
+        x = max(a, ell, working // 2 + 6)
+        head = mpmath.fsum(mpf(i) ** (-ell) for i in range(a, x))
+        xm = mpf(x)
+        xpow = xm ** (1 - ell)  # x^(1-ell-2k) after k corrections
+        lead = xpow / (ell - 1)
+        tail = lead + xpow / (2 * xm)
+        log2_tol = float(mpmath.log(lead, 2)) - mpmath.mp.prec
+        ln_x, ln_2pi, ln_2 = math.log(x), math.log(2 * math.pi), math.log(2)
+        poch = mpf(ell)  # (ell)_(2k-1)
+        fact = mpf(2)  # (2k)!
+        k = 1
+        while True:
+            xpow /= xm * xm
+            tail += mpmath.bernoulli(2 * k) / fact * poch * xpow
+            m = 2 * k
+            log_rem = (
+                math.log(4) + math.lgamma(ell + m) - math.lgamma(ell) - m * ln_2pi
+                + (1 - ell - m) * ln_x - math.log(ell + m - 1)
+            )
+            if log_rem / ln_2 < log2_tol:
+                break
+            poch *= (ell + m - 1) * (ell + m)
+            fact *= (m + 1) * (m + 2)
+            k += 1
+        value = head + tail
+    with workdps(working):
+        return +value
 
 
 def euler_gamma(prec=None) -> mpf:
-    working = _working_digits(prec)
-    with workdps(working):
-        if _EULER_DPS >= working and _EULER_VALUE is not None:
-            return +_EULER_VALUE
+    with workdps(_working_digits(prec)):
         return +mpmath.euler
 
 
@@ -219,12 +224,6 @@ def digamma_rational(shift, prec=None) -> mpf:
     """psi(m/k) at the working precision."""
     shift = _coerce_shift(shift)
     working = _working_digits(prec)
-    key = (shift.m, shift.k)
-    with workdps(working):
-        if _DIGAMMA_CACHE_DPS >= working:
-            cached = _DIGAMMA_CACHE.get(key)
-            if cached is not None:
-                return +cached
     with workdps(working + 10):
         v = mpmath.digamma(shift.as_mpf())
     with workdps(working):

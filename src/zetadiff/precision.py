@@ -67,11 +67,6 @@ class PrecisionBudget:
                 f"target+guard={self.target_digits + self.guard_digits}"
             )
 
-    @classmethod
-    def of(cls, target_digits: int, guard_digits: int = DEFAULT_GUARD_DIGITS) -> "PrecisionBudget":
-        """Plain budget with no cancellation/smallness surcharge."""
-        return cls(target_digits, target_digits + guard_digits, guard_digits)
-
     def require(self, working_digits: int, what: str = "operation") -> None:
         """Refuse the budget unless it carries at least `working_digits`."""
         if self.working_digits < working_digits:
@@ -154,11 +149,6 @@ def as_budget(
         prec.require(need, what=f"{kind}(n={n})")
         return prec
     return sequence_budget(kind, n, int(prec), k, method)
-
-
-def round_to_context(x):
-    """Re-round a value to the active mpmath precision (unary plus)."""
-    return +x
 
 
 def _mpf_to_decimal_exact(x: mpf) -> Decimal:

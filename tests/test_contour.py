@@ -1,10 +1,12 @@
 """Tests for the line-integral and slant-contour oracles."""
 
+import math
+
 import mpmath
 import pytest
-from mpmath import mpf, workdps
+from mpmath import mpc, mpf, workdps
 
-from zetadiff import contour, differences
+from zetadiff import contour, differences, mpcore
 from zetadiff.contour import ContourSpec
 from zetadiff.errors import DomainError, TruncationBoundError
 
@@ -26,6 +28,8 @@ def test_contour_spec_validation():
         ContourSpec(panels=0)
     with pytest.raises(DomainError):
         ContourSpec(degree=1)
+    with pytest.raises(DomainError):
+        ContourSpec(degree=2)  # no smaller rule left for the error estimate
 
 
 def test_legendre_rule_exactness():
@@ -48,6 +52,14 @@ def test_rice_sum_residues_matches_delta():
     want = differences.delta(12, 20).value
     with workdps(40):
         assert abs(val - want) < mpf("1e-18") * max(1, abs(want))
+
+
+def test_rice_sum_residues_carries_the_cancellation_digits():
+    # the alternating sum at n = 100 cancels ~30 digits
+    val = contour.rice_sum_residues(mpmath.zeta, 2, 100, 15)
+    want = differences.delta(100, 15).value
+    with workdps(40):
+        assert abs(val - want) < mpf("1e-15") * abs(want)
 
 
 def test_rice_sum_residues_domain():
@@ -73,12 +85,40 @@ def test_rice_left_line():
         assert rel < mpf("1e-10")
 
 
+@pytest.mark.parametrize("n, c", [(5, -0.5), (20, -0.3)])
+def test_left_line_float_tier_bound_covers_error(n, c):
+    sigma = 1.0 - c
+    for t in (16.0, 100.7, 2500.5):
+        got, bound = contour._left_line_float(t, sigma, n, math.lgamma(n + 1))
+        with workdps(40):
+            s = mpf(c) + mpc(0, 1) * mpf(t)
+            want = (mpcore.zeta_cx(s, 40) * contour._rice_kernel(s, n, mpmath.loggamma(n + 1))).real
+            assert abs(mpf(got) - want) <= bound
+            assert bound < mpf("1e-9") * abs(want)
+
+
+def test_rice_left_line_long():
+    # T ~ 6300: nearly every panel above t = 16 takes the float64 tier
+    res = contour.rice_integral("zeta-left", 5, 10)
+    want = differences.b(5, 15).value
+    with workdps(30):
+        assert abs(res.value - want) <= res.error_estimate
+        assert abs(res.value - want) / abs(want) < mpf("1e-10")
+
+
 def test_rice_inverse_line():
     res = contour.rice_integral("inv-zeta", 5, 10)
     want = differences.d(5, 15).value
     with workdps(30):
         rel = abs(res.value - want) / abs(want)
         assert rel < mpf("1e-10")
+
+
+def test_rice_error_estimate_covers_error_at_low_degree():
+    res = contour.rice_integral("zeta-right", 10, 12, ContourSpec(degree=6))
+    want = differences.delta(10, 30).value
+    with workdps(40):
+        assert abs(res.value - want) <= res.error_estimate
 
 
 def test_rice_reports_geometry():

@@ -30,6 +30,16 @@ def test_delta_methods_agree():
             assert abs(vb - vs) < mpf("1e-12") * max(1, abs(vb))
 
 
+def test_delta_series_meets_target_at_large_n():
+    # the Hurwitz tail sits at shift 2n+1, where mpmath's zeta(j, a) would
+    # lose ~40 digits of its tiny value
+    for n, target in ((300, 45), (500, 60)):
+        series = differences.delta(n, target, method="series").value
+        binomial = differences.delta(n, target + 20).value
+        with workdps(target + 30):
+            assert abs(series - binomial) <= mpf(10) ** -target * abs(binomial)
+
+
 def test_delta_rejects_unknown_method():
     with pytest.raises(DomainError):
         differences.delta(5, 12, method="contour")

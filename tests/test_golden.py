@@ -1,0 +1,35 @@
+"""CLI output of the README examples and the batch tables, byte for byte.
+
+The files in tests/data/golden were captured from the mpf-loop implementation
+that the exact integer kernel replaced; the kernel must print the same bytes.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from zetadiff.cli import main
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+COMMANDS = {
+    "seq-b-reference": "seq b --n 1,2,5,10,20,50 --digits 12",
+    "seq-b-300": "seq b --n 1..300 --digits 15",
+    "seq-a-1-2": "seq a --m 1 --k 2 --n 1..150 --digits 14",
+    "seq-A-2-5": "seq A --m 2 --k 5 --n 2..120 --digits 15",
+    "seq-d": "seq d --n 2..250 --digits 13",
+    "seq-d-moebius": "seq d --n 20..100 --method moebius",
+    "seq-c": "seq c --n 1..200 --digits 16",
+    "seq-delta": "seq delta --n 2..200 --digits 15",
+    "seq-delta-series": "seq delta --n 2..60 --method series --digits 15",
+    "signs-200": "signs --n 200",
+    "signs-300": "signs --n 300",
+    "newton-real": "newton --s 0.5 --n 500 --digits 20",
+    "newton-complex": "newton --s=-1.3+2.1i --n 400 --digits 20",
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_cli_output_matches_golden(name, capsys):
+    assert main(COMMANDS[name].split()) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
