@@ -30,8 +30,8 @@ On the left line, panels above t = 16 whose proven float64 rounding bound
 fits their share of the tolerance are evaluated in float64 (see
 `_left_line_float`); the bounds join the error estimate.  Truncation
 heights come from explicit tail bounds; a user-supplied height that cannot
-meet the tolerance raises TruncationBoundError rather than returning a
-silently wrong value.
+meet the tolerance, or a quadrature that runs out of its panel budget,
+raises TruncationBoundError rather than returning a silently wrong value.
 """
 
 from __future__ import annotations
@@ -196,8 +196,8 @@ def _panel_record(f, a, b, rule_hi, rule_lo, fast=None):
 
 def _adaptive_quad(f, boundaries, rule_hi, rule_lo, tol_abs, max_panels=3000, fast=None):
     """Composite GL with worst-first bisection until the summed embedded
-    deltas drop below tol_abs (or the panel budget runs out; the returned
-    error estimate stays honest either way).  The returned error estimate
+    deltas drop below tol_abs.  Running out of the `max_panels` budget
+    first raises TruncationBoundError.  The returned error estimate
     includes the rounding bounds of panels that `fast` evaluated."""
     panels = {}
     heap = []
@@ -235,6 +235,9 @@ def _adaptive_quad(f, boundaries, rule_hi, rule_lo, tol_abs, max_panels=3000, fa
     ordered = sorted(panels.values(), key=lambda rec: (rec[0], rec[1]))
     value = _pairwise_sum([rec[2] for rec in ordered])
     err = _pairwise_sum([rec[3] for rec in ordered])
+    if len(panels) >= max_panels and err > tol_abs:
+        raise TruncationBoundError(f"quadrature used its budget of {max_panels} panels with "
+                                   f"error {mpmath.nstr(err, 3)} > {mpmath.nstr(tol_abs, 3)}")
     if fast is not None:
         err += _pairwise_sum([rec[4] for rec in ordered])
     return value, err

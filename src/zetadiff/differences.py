@@ -19,13 +19,14 @@ Every operation sizes its working precision from the budget rules in
 small results cost their own scale on routes that assemble them from O(1)
 pieces) and refuses budgets that cannot reach the requested target.
 
-One exact kernel serves every binomial route.  The inputs x_k (zeta(k),
-zeta(l, m/k)/k^l, 1/zeta(k) or zeta(k+1)/(k+1)), taken from `mpcore` at the
-working digits w, are rounded down to integers X_k = floor(x_k 2^P) with
-P = dps_to_prec(w) + 10 bits, each within one unit of 2^-P.  The sum
-S_n = sum_k C(n,k) (-1)^k X_k is then exact, so the transform adds at most
-2^n units of 2^-P to the error its inputs carry; the cancellation digits of
-the budget cover that.  b_n and a_n are assembled in the same fixed point
+One exact kernel serves every binomial route, in fixed point with
+P = dps_to_prec(w) + 10 bits at the working digits w.  Its inputs are
+integers: floor(x_k 2^P) of zeta(k), 1/zeta(k) or zeta(k+1)/(k+1) taken from
+`mpcore` at w digits (within one unit of 2^-P of that mpf), and for A and a
+the entries of `mpcore._hurwitz_fixed`, proven within 2 units of 2^-P of
+zeta(l, m/k)/k^l itself.  S_n = sum_k C(n,k) (-1)^k X_k is exact, so for A_n
+it is within 2^(n+1) units of 2^P A_n; the budget's cancellation digits cover
+that.  b_n and a_n are assembled in the same fixed point
 with exact harmonic numbers, and every value is rounded once, to w digits.
 A single index costs one dot product with C(n,k).  A batch
 (`sequence_many`) reads each input once and, for a dense index set, takes
@@ -42,11 +43,11 @@ from fractions import Fraction
 
 import mpmath
 from mpmath import mpc, mpf, workdps
-from mpmath.libmp import dps_to_prec, from_rational, round_nearest, to_fixed
+from mpmath.libmp import to_fixed
 
 from . import mpcore
 from .errors import DomainError
-from .mpcore import _coerce_shift
+from .mpcore import _coerce_shift, _fixed_bits, _from_fixed
 from .precision import PrecisionBudget, as_budget, required_working_digits
 
 _DELTA_METHODS = ("binomial", "series")
@@ -103,21 +104,9 @@ def _check_index(n, minimum=0) -> int:
     return n
 
 
-def _fixed_bits(working: int) -> int:
-    """Fraction bits P of the fixed-point kernel at `working` digits."""
-    return dps_to_prec(working) + 10
-
-
 def _to_fixed(x: mpf, bits: int) -> int:
     """floor(x 2^bits)."""
     return to_fixed(x._mpf_, bits)
-
-
-def _from_fixed(num: int, bits: int, working: int, den: int = 1) -> mpf:
-    """num / (den 2^bits), rounded once to `working` digits."""
-    return mpmath.mp.make_mpf(
-        from_rational(num, den << bits, dps_to_prec(working), round_nearest)
-    )
 
 
 def _binomial_dot(n: int, xs: list[int]) -> int:
@@ -149,7 +138,7 @@ def _binomial_sum(n: int, xs: list, working: int) -> mpf:
 
 
 def _input(kind: str, k: int, working: int, q) -> mpf:
-    """x_k of the kind's alternating sum at the active precision (k >= 2; k >= 1 for c)."""
+    """x_k of the kind's alternating sum as an mpf (k >= 2; k >= 1 for c)."""
     if kind == "c":
         return mpcore.zeta_int(k + 1, working) / (k + 1)
     if kind in ("A", "a"):
@@ -174,10 +163,13 @@ def _kernel(kind: str, ns, working: int, q=None) -> dict[int, mpf]:
     """Values of a binomial-route kind at every n in ns, at `working` digits."""
     bits = _fixed_bits(working)
     top = max(ns)
-    xs = [0] * (top + 1)
-    with workdps(working):
-        for k in range(1 if kind == "c" else 2, top + 1):
-            xs[k] = _to_fixed(_input(kind, k, working, q), bits)
+    if q is not None:
+        xs = mpcore._hurwitz_fixed(top, q.m, q.k, bits)
+    else:
+        xs = [0] * (top + 1)
+        with workdps(working):
+            for k in range(1 if kind == "c" else 2, top + 1):
+                xs[k] = _to_fixed(_input(kind, k, working, q), bits)
     wanted = set(ns)
     if 2 * len(wanted) > top:
         sums = _difference_table(xs, wanted)
@@ -210,29 +202,46 @@ def _kernel(kind: str, ns, working: int, q=None) -> dict[int, mpf]:
     }
 
 
-def _delta_series(n: int, working: int, target: int) -> mpf:
-    # head over l <= L, then the 1/l-power tail resummed through Hurwitz
-    # zeta values at shift L+1; the expansion is exact if j reaches n
-    L = max(2 * n, 32)
+def _rearranged(L: int, working: int, target: int, mobius: bool, head, coeffs) -> mpf:
+    """sum_{l<=L} w(l) head(l) + sum_{j>=2} (-1)^j c_j T_j, T_j = sum_{l>L} w(l) l^-j.
+
+    The weights w(l) are mu(l) (T_j from `_mobius_tails`) or 1 (T_j =
+    zeta(j, L+1)); `coeffs` yields c_2, c_3, ..., finitely many where the
+    expansion is exact.  The tail stops once the next-term bound
+    2 c_j ((L+1)^-j + L^(1-j)/(j-1)) is below 10^-(target+5) max(1, |head|).
+    """
+    mu = _mobius_table(L) if mobius else None
     with workdps(working):
         acc = mpf(0)
         for ell in range(1, L + 1):
-            u = mpf(1) / ell
-            acc += (1 - u) ** n - 1 + n * u
+            w = mu[ell] if mobius else 1
+            if w:
+                acc += w * head(ell)
         tol = mpf(10) ** (-(target + 5)) * max(mpf(1), abs(acc))
-        c = n * (n - 1) // 2  # C(n,2)
-        j = 2
-        while j <= n:
-            term = mpf(c) * mpcore.hurwitz_int(j, L + 1, working)
+        cs = []
+        for j, c in enumerate(coeffs, 2):
+            if cs and 2 * mpf(c) * ((L + 1) ** mpf(-j) + mpf(L) ** (1 - j) / (j - 1)) < tol:
+                break
+            cs.append(c)
+        top = len(cs) + 1
+        if mobius:
+            tails = _mobius_tails(L, top, working)
+        else:
+            tails = [None, None] + [mpcore.hurwitz_int(j, L + 1, working) for j in range(2, top + 1)]
+        for j, c in enumerate(cs, 2):
+            term = mpf(c) * tails[j]
             acc = acc + term if j % 2 == 0 else acc - term
-            c = c * (n - j) // (j + 1)
-            if j < n:
-                # next-term bound; terms shrink by >= 1/2 per step for L >= 2n
-                rem = 2 * mpf(c) * ((L + 1) ** mpf(-(j + 1)) + mpf(L) ** (-j) / j)
-                if rem < tol:
-                    break
-            j += 1
         return +acc
+
+
+def _rearranged_difference(n: int, budget: PrecisionBudget, mobius: bool) -> mpf:
+    """delta_n (weights 1) or d_n (weights mu(l)) with L = max(2n, 32), where
+    the tail terms shrink by at least 1/2 per step and end at j = n."""
+    return _rearranged(
+        max(2 * n, 32), budget.working_digits, budget.target_digits, mobius,
+        lambda ell: (1 - mpf(1) / ell) ** n - 1 + n * (mpf(1) / ell),
+        (math.comb(n, j) for j in range(2, n + 1)),
+    )
 
 
 def delta(n: int, prec: PrecisionBudget | int = 15, method: str = "binomial") -> SequencePoint:
@@ -246,7 +255,7 @@ def delta(n: int, prec: PrecisionBudget | int = 15, method: str = "binomial") ->
     elif n < 2:
         value = mpf(0)
     else:
-        value = _delta_series(n, budget.working_digits, budget.target_digits)
+        value = _rearranged_difference(n, budget, mobius=False)
     return SequencePoint(n, value, method, budget.target_digits)
 
 
@@ -304,46 +313,32 @@ def _mobius_table(limit: int) -> list[int]:
     return _MOBIUS_TABLE
 
 
-def _mobius_tail_coeff(j: int, L: int, working: int) -> mpf:
-    """sum_{l>L} mu(l) l^(-j) = 1/zeta(j) - partial sum, without cancellation.
+def _mobius_tails(L: int, top: int, working: int) -> list:
+    """[T_j] for j <= top, T_j = sum_{l>L} mu(l) l^-j = 1/zeta(j) - sum_{l<=L} mu(l) l^-j.
 
-    The difference is ~(L+1)^(-j) between O(1) quantities, so it is formed
-    at precision elevated by j*log10(L+1) and only then rounded down.
+    T_j ~ (L+1)^-j is a difference of O(1) numbers, so both are formed at the
+    kernel bits of the largest lift, working + top log10(L+1) + 10 digits: the
+    partial sums in one pass of floor(floor(2^P/l^(j-1))/l) = floor(2^P/l^j)
+    (within L units), 1/zeta(j) once per j at the lifted digits.
     """
     mu = _mobius_table(L)
-    lift = int(math.ceil(j * math.log10(L + 1))) + 10
-    with workdps(working + lift):
-        part = mpf(0)
-        for ell in range(1, L + 1):
-            if mu[ell]:
-                part += mu[ell] * mpf(ell) ** (-j)
-        val = 1 / mpmath.zeta(j) - part
-    with workdps(working):
-        return +val
-
-
-def _d_moebius(n: int, working: int, target: int) -> mpf:
-    L = max(2 * n, 32)
-    mu = _mobius_table(L)
-    with workdps(working):
-        acc = mpf(0)
-        for ell in range(1, L + 1):
-            if mu[ell]:
-                u = mpf(1) / ell
-                acc += mu[ell] * ((1 - u) ** n - 1 + n * u)
-        tol = mpf(10) ** (-(target + 5)) * max(mpf(1), abs(acc))
-        c = n * (n - 1) // 2
-        j = 2
-        while j <= n:
-            term = mpf(c) * _mobius_tail_coeff(j, L, working)
-            acc = acc + term if j % 2 == 0 else acc - term
-            c = c * (n - j) // (j + 1)
-            if j < n:
-                rem = 2 * mpf(c) * ((L + 1) ** mpf(-(j + 1)) + mpf(L) ** (-j) / j)
-                if rem < tol:
+    lifted = working + math.ceil(top * math.log10(L + 1)) + 10
+    bits = _fixed_bits(lifted)
+    one = 1 << bits
+    part = [0] * (top + 1)
+    for ell in range(1, L + 1):
+        if mu[ell]:
+            t = one // ell
+            for j in range(2, top + 1):
+                t //= ell
+                if not t:
                     break
-            j += 1
-        return +acc
+                part[j] += mu[ell] * t
+    with workdps(lifted):
+        return [None, None] + [
+            _from_fixed(_to_fixed(1 / mpmath.zeta(j), bits) - part[j], bits, working)
+            for j in range(2, top + 1)
+        ]
 
 
 def d(n: int, prec: PrecisionBudget | int = 15, method: str = "binomial") -> SequencePoint:
@@ -357,7 +352,7 @@ def d(n: int, prec: PrecisionBudget | int = 15, method: str = "binomial") -> Seq
     elif n < 2:
         value = mpf(0)
     else:
-        value = _d_moebius(n, budget.working_digits, budget.target_digits)
+        value = _rearranged_difference(n, budget, mobius=True)
     return SequencePoint(n, value, method, budget.target_digits)
 
 
@@ -372,33 +367,23 @@ def c(n: int, prec: PrecisionBudget | int = 15) -> SequencePoint:
 def D_of(x, prec: PrecisionBudget | int = 15) -> mpf:
     """Mobius-smoothed comparison function D(x) = sum mu(l)[e^(-x/l) - 1 + x/l]."""
     budget = as_budget(prec, "D", 0)
-    w = budget.working_digits
-    with workdps(w):
+    with workdps(budget.working_digits):
         xv = mpf(x)
         if not mpmath.isfinite(xv) or xv <= 0:
             raise DomainError(f"D(x) needs finite x > 0, got {x!r}")
-        L = max(32, int(math.ceil(2 * float(xv))))
-        mu = _mobius_table(L)
-        acc = mpf(0)
-        for ell in range(1, L + 1):
-            if mu[ell]:
-                u = xv / ell
-                acc += mu[ell] * (mpmath.exp(-u) - 1 + u)
-        # tail: sum_{j>=2} (-1)^j x^j / j! * sum_{l>L} mu(l) l^(-j)
-        tol = mpf(10) ** (-(budget.target_digits + 5)) * max(mpf(1), abs(acc))
-        j = 2
-        xpow = xv * xv
-        fact = mpf(2)
+
+    def powers():  # x^j / j!
+        j, xpow, fact = 2, xv * xv, mpf(2)
         while True:
-            term = (xpow / fact) * _mobius_tail_coeff(j, L, w)
-            acc = acc + term if j % 2 == 0 else acc - term
+            yield xpow / fact
             j += 1
             xpow *= xv
             fact *= j
-            rem = 2 * (xpow / fact) * ((L + 1) ** mpf(-j) + mpf(L) ** (1 - j) / (j - 1))
-            if rem < tol:
-                break
-        return +acc
+
+    return _rearranged(
+        max(32, int(math.ceil(2 * float(xv)))), budget.working_digits, budget.target_digits,
+        True, lambda ell: mpmath.exp(-xv / ell) - 1 + xv / ell, powers(),
+    )
 
 
 _METHODS = {"delta": _DELTA_METHODS, "d": _D_METHODS}
@@ -417,8 +402,9 @@ def sequence_many(
 
     The working precision is sized for the largest index, so every value
     equals the single call at that budget bit for bit.  Binomial routes read
-    each input once from the prefilled caches and run the exact kernel once
-    for the whole batch; the rearranged routes (delta 'series', d 'moebius')
+    each input once (zeta values from the prefilled cache, Hurwitz values
+    from one fixed-point table) and run the exact kernel once for the whole
+    batch; the rearranged routes (delta 'series', d 'moebius')
     go index by index.  `threads` is accepted for compatibility and changes
     nothing: the batch is integer arithmetic that threads cannot share under
     the interpreter lock, so it runs in the calling thread.
@@ -447,8 +433,6 @@ def sequence_many(
 
     if q is None:
         mpcore.prefill_zeta_cache(max(n_max + (kind == "c"), 2), working)
-    else:
-        mpcore.prefill_hurwitz_cache(max(n_max, 2), q, working)
     values = _kernel(kind, ns, working, q)
     label = "residue-adjusted" if kind == "a" else "binomial"
     return [SequencePoint(n, values[n], label, target_digits) for n in ns]

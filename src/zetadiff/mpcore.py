@@ -1,7 +1,8 @@
 """Arbitrary-precision scalar kernel.
 
-Thin, policy-carrying layer over mpmath: integer and Hurwitz zeta values with
-a prefillable cache, Euler's constant, exact harmonic numbers, digamma at
+Thin, policy-carrying layer over mpmath: integer zeta values with a
+prefillable cache, Hurwitz zeta values at integer arguments from an exact
+fixed-point table, Euler's constant, exact harmonic numbers, digamma at
 rational points, complex gamma/zeta (with the reflection route for the left
 half-plane), and a Mobius sieve.
 
@@ -10,9 +11,11 @@ Precision convention for this module: `prec` is either a PrecisionBudget
 Scalar kernel ops have no cancellation of their own; the sequence layer is
 where targets get inflated into working budgets.
 
-Cache discipline: `prefill_zeta_cache` / `prefill_hurwitz_cache` are the only
-writers; readers never mutate.  Cached values are stored at the prefill
-precision and re-rounded down to the caller's working precision.
+Cache discipline: integer zeta values are the one cache; `prefill_zeta_cache`
+is its only writer and readers re-round cached values down to their working
+precision.  Hurwitz values are not cached: `_hurwitz_fixed` builds a table of
+zeta(l, m/k)/k^l, l <= N, in one fixed-point pass, each entry a function of
+(l, m, k, P) alone and within 2 units of 2^-P.
 """
 
 from __future__ import annotations
@@ -23,15 +26,13 @@ from fractions import Fraction
 
 import mpmath
 from mpmath import mpf, mpc, workdps
+from mpmath.libmp import dps_to_prec, from_rational, round_nearest
 
-from .errors import DomainError
+from .errors import DomainError, TruncationBoundError
 from .precision import PrecisionBudget
 
 _ZETA_CACHE: dict[int, mpf] = {}
 _ZETA_CACHE_DPS = 0
-
-_HURWITZ_CACHE: dict[tuple[int, int, int], mpf] = {}
-_HURWITZ_CACHE_DPS = 0
 
 
 @dataclass(frozen=True)
@@ -110,91 +111,101 @@ def zeta_int(ell: int, prec=None) -> mpf:
         return +mpmath.zeta(ell)
 
 
-def prefill_hurwitz_cache(max_ell: int, shift, working_digits: int) -> None:
-    """Compute zeta(2..max_ell, m/k) once at `working_digits`."""
-    global _HURWITZ_CACHE_DPS
-    shift = _coerce_shift(shift)
-    if working_digits > _HURWITZ_CACHE_DPS:
-        _HURWITZ_CACHE.clear()
-        _HURWITZ_CACHE_DPS = working_digits
-    with workdps(_HURWITZ_CACHE_DPS):
-        a = shift.as_mpf()
-        for ell in range(2, max_ell + 1):
-            key = (ell, shift.m, shift.k)
-            if key not in _HURWITZ_CACHE:
-                _HURWITZ_CACHE[key] = mpmath.zeta(ell, a)
-
-
 def hurwitz_int(ell: int, shift, prec=None) -> mpf:
-    """zeta(ell, a) for integer ell >= 2.
+    """zeta(ell, a) for integer ell >= 2, to `prec` digits relative.
 
     `shift` is a RationalShift / (m, k) tuple for a = m/k in (0, 1], or a
-    plain int a >= 1 (used by series tail corrections).  The integer branch
-    is correct to `prec` digits relative to the value, however small
-    (see `_hurwitz_em`).
+    plain int a >= 1 (m = a, k = 1).  Reads `_hurwitz_fixed` at the kernel's
+    P raised by ceil(ell log2 m) bits, as the entry can be as small as m^-ell.
     """
     ell = _check_int_exponent(ell)
     working = _working_digits(prec)
     if isinstance(shift, int) and not isinstance(shift, bool):
         if shift < 1:
             raise DomainError(f"integer shift must be >= 1, got {shift}")
-        return _hurwitz_em(ell, shift, working)
-    shift = _coerce_shift(shift)
-    with workdps(working):
-        key = (ell, shift.m, shift.k)
-        if _HURWITZ_CACHE_DPS >= working:
-            cached = _HURWITZ_CACHE.get(key)
-            if cached is not None:
-                return +cached
-        # evaluate the offset a bit above working so its rounding is harmless
-        with workdps(working + 10):
-            v = mpmath.zeta(ell, shift.as_mpf())
-        return +v
+        m, k = shift, 1
+    else:
+        q = _coerce_shift(shift)
+        m, k = q.m, q.k
+    bits = _fixed_bits(working) + (m**ell - 1).bit_length()
+    return _from_fixed(_hurwitz_fixed(ell, m, k, bits, bottom=ell)[ell] * k**ell, bits, working)
 
 
-def _hurwitz_em(ell: int, a: int, working: int) -> mpf:
-    """zeta(ell, a) for integers ell >= 2, a >= 1, to `working` digits relative.
+def _hurwitz_fixed(top: int, m: int, k: int, bits: int, bottom: int = 2) -> list[int]:
+    """[X_l] for l <= top, X_l within 2 units of 2^bits sum_{j>=0} (kj+m)^-l =
+    2^bits zeta(l, m/k)/k^l for l >= bottom (0 below), a function of
+    (l, m, k, bits) alone.  Sums at Q = bits + g bits, then shifts down by g:
 
-    mpmath's Hurwitz zeta stops its Euler-Maclaurin tail at an absolute
-    tolerance, so at a ~ 2n it loses up to ~ell*log10(a) digits of a value
-    near a^(1-ell).  Here the direct sum runs up to x = max(a, ell, w/2+6)
-    and the tail terms stop once the remainder bound (Johansson 2014, Thm 1)
+    - direct: floor(2^Q/u^l) = floor(floor(2^Q/u^(l-1))/u) for u = kj + m < U
+      = kJ + m, the least such point with U/k >= x, 2 pi x = 3 (Q ln 2 + 16);
+    - tail: none if U^-l + U^(1-l)/(k(l-1)), which bounds it, is < 2^-Q; else
+      Euler-Maclaurin at x' = U/k, one exact floor per term, to the first M
+      whose remainder bound (Johansson 2014, Thm 1)
+      4 (l)_(2M) / (2 pi)^(2M) x'^(1-l-2M) / (l+2M-1) is below 2^-Q k^l.
 
-        |R_M| <= 4 |(ell)_(2M)| / (2 pi)^(2M) * x^(1-ell-2M) / (ell+2M-1)
-
-    drops below 2^-prec of the leading term x^(1-ell)/(ell-1).  The direct
-    terms and the leading terms are positive and the alternating Bernoulli
-    corrections stay below ell(ell-1)/(12 x^2) <= 1/12 of the leading term,
-    so the sum cancels no digits.
+    At most J + M + 4 floors and remainder, each under a unit of 2^-Q, so
+    |X_l - 2^bits v_l| < 1 + (J + M + 4)/2^g <= 2.  A tail that misses its
+    tolerance or that count raises TruncationBoundError; at three times the
+    x that 2 pi x > Q ln 2 asks for, neither happens.
     """
-    with workdps(working + 10):
-        x = max(a, ell, working // 2 + 6)
-        head = mpmath.fsum(mpf(i) ** (-ell) for i in range(a, x))
-        xm = mpf(x)
-        xpow = xm ** (1 - ell)  # x^(1-ell-2k) after k corrections
-        lead = xpow / (ell - 1)
-        tail = lead + xpow / (2 * xm)
-        log2_tol = float(mpmath.log(lead, 2)) - mpmath.mp.prec
-        ln_x, ln_2pi, ln_2 = math.log(x), math.log(2 * math.pi), math.log(2)
-        poch = mpf(ell)  # (ell)_(2k-1)
-        fact = mpf(2)  # (2k)!
-        k = 1
-        while True:
-            xpow /= xm * xm
-            tail += mpmath.bernoulli(2 * k) / fact * poch * xpow
-            m = 2 * k
-            log_rem = (
-                math.log(4) + math.lgamma(ell + m) - math.lgamma(ell) - m * ln_2pi
-                + (1 - ell - m) * ln_x - math.log(ell + m - 1)
-            )
-            if log_rem / ln_2 < log2_tol:
+    out = [0] * (top + 1)
+    guard = (bits + 64).bit_length() + 2
+    Q = bits + guard
+    one = 1 << Q
+    x = math.ceil(3 * (Q * math.log(2) + 16) / (2 * math.pi))
+    J = max(0, x - m // k)
+    U = k * J + m
+    for u in range(m, U, k):
+        t = one // u**bottom
+        for ell in range(bottom, top + 1):
+            if not t:
                 break
-            poch *= (ell + m - 1) * (ell + m)
-            fact *= (m + 1) * (m + 2)
-            k += 1
-        value = head + tail
-    with workdps(working):
-        return +value
+            out[ell] += t
+            t //= u
+
+    xt = U / k
+    log_x, log_k, log_2pi = math.log(xt), math.log(k), math.log(2 * math.pi)
+    log_tol = -(Q + 1) * math.log(2)  # one bit of slack for the float bound
+    coeffs = []  # (B_2i k^(2i-1), (2i)!)
+    u_pow = U ** (bottom - 1)  # U^(l-1)
+    for ell in range(bottom, top + 1):
+        kl = k * (ell - 1)
+        if one * (kl + U) < kl * u_pow * U:
+            break  # the tail is below 2^-Q here and for every larger l
+        s = one // (kl * u_pow) + one // (2 * u_pow * U)
+        poch, den_pow = ell, u_pow * U * U  # (l)_(2i-1), U^(l+2i-1)
+        i = 1
+        while True:
+            if len(coeffs) < i:
+                p, q = mpmath.bernfrac(2 * i)
+                coeffs.append((p * k ** (2 * i - 1), q * math.factorial(2 * i)))
+            num, den = coeffs[i - 1]
+            s += ((num * poch) << Q) // (den * den_pow)
+            M = 2 * i
+            log_rem = (math.log(4) + math.lgamma(ell + M) - math.lgamma(ell) - M * log_2pi
+                       + (1 - ell - M) * log_x - math.log(ell + M - 1) - ell * log_k)
+            if log_rem < log_tol:
+                break
+            if ell + M >= 2 * math.pi * xt or J + i + 5 > 1 << guard:
+                raise TruncationBoundError(f"Hurwitz tail at x={xt:.6g} misses 2^-{Q} at l={ell}")
+            poch *= (ell + M - 1) * (ell + M)
+            den_pow *= U * U
+            i += 1
+        out[ell] += s
+        u_pow *= U
+    return [v >> guard for v in out]
+
+
+def _fixed_bits(working: int) -> int:
+    """Fraction bits P of the fixed-point kernel at `working` digits."""
+    return dps_to_prec(working) + 10
+
+
+def _from_fixed(num: int, bits: int, working: int, den: int = 1) -> mpf:
+    """num / (den 2^bits), rounded once to `working` digits."""
+    return mpmath.mp.make_mpf(
+        from_rational(num, den << bits, dps_to_prec(working), round_nearest)
+    )
 
 
 def euler_gamma(prec=None) -> mpf:

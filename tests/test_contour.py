@@ -136,6 +136,18 @@ def test_rice_explicit_height_too_small():
         contour.rice_integral("zeta-right", 20, 12, ContourSpec(T=5.0))
 
 
+def test_adaptive_quad_out_of_panels_raises():
+    hi, lo = contour.legendre_rule(8, 20), contour.legendre_rule(4, 20)
+    with workdps(20):
+        f = lambda t: mpmath.cos(40 * t)
+        bounds = [mpf(0), mpf(1)]
+        with pytest.raises(TruncationBoundError, match="budget of 3 panels"):
+            contour._adaptive_quad(f, bounds, hi, lo, mpf("1e-15"), max_panels=3)
+        value, err = contour._adaptive_quad(f, bounds, hi, lo, mpf("1e-15"))
+        assert err <= mpf("1e-15")
+        assert abs(value - mpmath.sin(40) / 40) < mpf("1e-14")
+
+
 def test_rice_domain_errors():
     with pytest.raises(DomainError):
         contour.rice_integral("mellin", 10)

@@ -168,3 +168,25 @@ def test_sequence_many_rejects_empty_and_unknown():
         differences.sequence_many("b", [], 12)
     with pytest.raises(DomainError):
         differences.sequence_many("q", [2, 3], 12)
+
+
+def test_library_calls_leave_mp_precision_unchanged():
+    chi = differences.CharacterTable(4, (1, 0, -1, 0))
+    calls = [
+        lambda: mpcore.hurwitz_int(7, (1, 3), 40),
+        lambda: mpcore.hurwitz_int(9, 601, 40),
+        lambda: differences.A(60, (2, 5), 20),
+        lambda: differences.a(60, (1, 2), 20),
+        lambda: differences.dirichlet_diff(chi, 40, 15),
+        lambda: differences.sequence_many("a", list(range(1, 41)), 15, shift=(3, 4)),
+        lambda: differences.d(60, 15, method="moebius"),
+        lambda: differences.D_of(30, 20),
+    ]
+    saved = mpmath.mp.prec
+    try:
+        mpmath.mp.prec = 77
+        for call in calls:
+            call()
+            assert mpmath.mp.prec == 77
+    finally:
+        mpmath.mp.prec = saved

@@ -1,8 +1,12 @@
 """Multiprecision primitive layer: caches, special values, reflection."""
 
+import math
+
 import mpmath
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mpf, workdps
+from mpmath.libmp import dps_to_prec
 
 from zetadiff import mpcore
 from zetadiff.errors import DomainError
@@ -36,6 +40,46 @@ def test_hurwitz_int_matches_direct_evaluation():
         assert abs(mpcore.hurwitz_int(5, (1, 3), 45) - direct) < mpf("1e-40")
         # integer shift path
         assert abs(mpcore.hurwitz_int(4, 7, 45) - mpmath.zeta(4, 7)) < mpf("1e-40")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    ell=st.integers(min_value=2, max_value=400),
+    k=st.integers(min_value=1, max_value=8),
+    data=st.data(),
+    digits=st.integers(min_value=10, max_value=200),
+)
+@example(ell=400, k=8, data=None, digits=200)
+@example(ell=2, k=1, data=None, digits=10)
+def test_hurwitz_fixed_within_two_units(ell, k, data, digits):
+    m = data.draw(st.integers(min_value=1, max_value=k), label="m") if data else 1
+    bits = mpcore._fixed_bits(digits)
+    got = mpcore._hurwitz_fixed(ell, m, k, bits)[ell]
+    with workdps(digits + 40):
+        want = mpmath.zeta(ell, mpf(m) / k) / mpf(k) ** ell * mpf(2) ** bits
+        assert abs(got - want) <= 2
+
+
+def test_hurwitz_fixed_entry_does_not_depend_on_table_length():
+    for m, k, digits in ((1, 1, 30), (1, 2, 120), (3, 4, 60), (2, 5, 200), (7, 8, 15)):
+        bits = mpcore._fixed_bits(digits)
+        table = mpcore._hurwitz_fixed(400, m, k, bits)
+        for ell in (2, 3, 17, 64, 199, 400):
+            assert mpcore._hurwitz_fixed(ell, m, k, bits)[ell] == table[ell]
+            assert mpcore._hurwitz_fixed(ell, m, k, bits, bottom=ell)[ell] == table[ell]
+
+
+@pytest.mark.parametrize("shift", [(1, 2), (1, 3), (3, 4), (2, 5), 7, 601])
+def test_hurwitz_int_relative_accuracy(shift):
+    for ell in (2, 5, 30, 150):
+        for digits in (15, 60):
+            got = mpcore.hurwitz_int(ell, shift, digits)
+            # mpmath's own tail is absolute, so give it the digits the value lacks
+            lost = math.ceil(ell * math.log10(shift)) if isinstance(shift, int) else 0
+            with workdps(digits + lost + 30):
+                a = shift if isinstance(shift, int) else mpf(shift[0]) / shift[1]
+                want = mpmath.zeta(ell, a)
+                assert abs(got - want) <= mpf(2) ** (1 - dps_to_prec(digits)) * want
 
 
 def test_hurwitz_shift_validation():
