@@ -33,7 +33,7 @@ from . import mpcore
 from .differences import sequence_many
 from .errors import DomainError, FitError
 from .mpcore import _coerce_shift
-from .precision import PrecisionBudget
+from .precision import digits
 
 PHASE_CONVENTIONS = ("derived", "mshift", "plain")
 
@@ -86,17 +86,6 @@ class BetaFitResult:
     K_fit: float | None
 
 
-def _working(prec) -> int:
-    if isinstance(prec, PrecisionBudget):
-        return prec.working_digits
-    if prec is None:
-        return mpmath.mp.dps
-    w = int(prec)
-    if w < 1:
-        raise DomainError(f"precision must be >= 1 digit, got {prec!r}")
-    return w
-
-
 def _main_term(n, m: int, k: int, convention: str, working: int):
     """(main, amplitude, phase) at real n >= 1 (continuous n allowed)."""
     if convention not in PHASE_CONVENTIONS:
@@ -125,7 +114,7 @@ def envelope_bound(n, prec=None) -> mpf:
     The factor 2 absorbs the lower-order corrections; at n = 1 the actual
     |b_1| = 0.0772 already exceeds this bound, so n >= 2 is required.
     """
-    working = _working(prec)
+    working = digits(prec)[1]
     if not mpf(n) >= 2:
         raise DomainError(f"envelope_bound needs n >= 2, got {n!r}")
     with workdps(working):
@@ -136,7 +125,7 @@ def envelope_bound(n, prec=None) -> mpf:
 
 def b_asym(n, prec=30) -> AsymptoticEstimate:
     """Main asymptotic term of b_n; n may be a positive real."""
-    working = _working(prec)
+    working = digits(prec)[1]
     if not mpf(n) >= 1:
         raise DomainError(f"b_asym needs n >= 1, got {n!r}")
     main, amp, phase = _main_term(n, 1, 1, "derived", working)
@@ -149,7 +138,7 @@ def b_asym(n, prec=30) -> AsymptoticEstimate:
 
 def a_asym(n, shift, prec=30, convention: str = "derived") -> AsymptoticEstimate:
     """Main asymptotic term of a_n(m,k) under the given phase convention."""
-    working = _working(prec)
+    working = digits(prec)[1]
     q = _coerce_shift(shift)
     if not mpf(n) >= 1:
         raise DomainError(f"a_asym needs n >= 1, got {n!r}")
@@ -190,7 +179,7 @@ def an12_main(n: int, prec=30) -> mpf:
     """
     if isinstance(n, bool) or not isinstance(n, int) or n < 2:
         raise DomainError(f"an12_main needs an int n >= 2, got {n!r}")
-    working = _working(prec)
+    working = digits(prec)[1]
     with workdps(working):
         gamma = mpcore.euler_gamma(working)
         psi_n = mpcore.harmonic_mpf(n - 1, working) - gamma
@@ -220,7 +209,7 @@ def saddle(n: int, k: int = 1, p: int = 1, prec=30) -> SaddleData:
     """Saddle data for the order-n difference at shift denominator k, mode p."""
     if n < 1 or k < 1 or p < 1:
         raise DomainError(f"saddle needs n, k, p >= 1, got n={n}, k={k}, p={p}")
-    working = _working(prec)
+    working = digits(prec)[1]
     with workdps(working):
         x0 = mpc(1, 1) * mpmath.sqrt(mpmath.pi * mpf(p) / k)
         sigma = x0 * mpmath.sqrt(mpf(n))
@@ -243,7 +232,7 @@ def saddle_formula(f_at_x0, f2_at_x0, N, prec=None) -> mpc:
     Principal square-root branch; the caller orients the traversal (a
     descent direction opposite the principal branch flips the sign).
     """
-    working = _working(prec)
+    working = digits(prec)[1]
     with workdps(working):
         f2 = mpc(f2_at_x0)
         if f2 == 0:
@@ -260,7 +249,7 @@ def saddle_pipeline_main(n: int, prec=40) -> mpf:
     the upper-contour integral is -saddle_formula(-ln G(sigma), -omega'',
     1) for the principal branch, and b_n = -(2/pi) Im of that integral.
     """
-    working = _working(prec)
+    working = digits(prec)[1]
     data = saddle(n, 1, 1, working)
     with workdps(working):
         sigma = data.sigma

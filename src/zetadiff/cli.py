@@ -44,16 +44,13 @@ _COMPUTE_FLOOR = 10
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One parsed invocation: what to compute and how to emit it."""
+    """What one parsed invocation computes; `_dispatch` emits it."""
 
-    command: str
     ns: tuple[int, ...] = ()
     m: int = 1
     k: int = 1
     digits: int = 15
     method: str | None = None
-    fmt: str = "csv"
-    out: str | None = None
     threads: int = 1
     quad_T: float | None = None
     quad_panels: int | None = None
@@ -63,8 +60,6 @@ class RunConfig:
             raise DomainError(f"--digits must be >= 1, got {self.digits}")
         if self.threads < 1:
             raise DomainError(f"--threads must be >= 1, got {self.threads}")
-        if self.fmt not in ("csv", "json"):
-            raise DomainError(f"--format must be csv or json, got {self.fmt!r}")
         if not self.ns:
             raise DomainError("empty index list")
 
@@ -131,21 +126,18 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _render_table(rows, columns, fmt: str, comments=()) -> str:
-    """CSV with optional leading # comments, or the JSON mirror."""
+def _render(body, extra, columns, fmt: str) -> str:
+    """A CSV table (rows under `columns`, `extra` its leading # comments) or,
+    with columns None, a report (lines, `extra` its JSON fields); or JSON."""
+    if columns is None:
+        return json.dumps(extra, indent=2) + "\n" if fmt == "json" else "\n".join(body) + "\n"
     if fmt == "json":
-        payload = {"comments": list(comments), "rows": rows} if comments else rows
+        payload = {"comments": list(extra), "rows": body} if extra else body
         return json.dumps(payload, indent=2) + "\n"
-    lines = [f"# {c}" for c in comments]
+    lines = [f"# {c}" for c in extra]
     lines.append(",".join(columns))
-    for row in rows:
+    for row in body:
         lines.append(",".join(str(row[c]) for c in columns))
-    return "\n".join(lines) + "\n"
-
-
-def _render_report(lines, fmt: str, fields=None) -> str:
-    if fmt == "json":
-        return json.dumps(fields if fields is not None else {"lines": lines}, indent=2) + "\n"
     return "\n".join(lines) + "\n"
 
 
@@ -412,20 +404,23 @@ def cmd_newton(config: RunConfig, s_text: str):
     return lines, fields
 
 
-def cmd_gf_check(config: RunConfig, order: int):
-    """Compare both generating-function expansions against delta_n."""
-    digits = config.compute_digits
+def _gf_worst(order: int, digits: int) -> tuple[mpf, mpf]:
+    """Worst |ogf coeff - delta_n| and |n! egf coeff - delta_n| over n = 2..order."""
     og = series.ogf_coeffs(order, digits)
     eg = series.egf_coeffs(order, digits)
     points = differences.sequence_many(
         "delta", list(range(2, order + 1)), target_digits=digits + 10
     )
     with workdps(digits + 20):
-        worst_og = mpf(0)
-        worst_eg = mpf(0)
-        for p in points:
-            worst_og = max(worst_og, abs(og.coeff(p.n) - p.value))
-            worst_eg = max(worst_eg, abs(eg.coeff(p.n) * mpmath.factorial(p.n) - p.value))
+        return (max(abs(og.coeff(p.n) - p.value) for p in points),
+                max(abs(eg.coeff(p.n) * mpmath.factorial(p.n) - p.value) for p in points))
+
+
+def cmd_gf_check(config: RunConfig, order: int):
+    """Compare both generating-function expansions against delta_n."""
+    digits = config.compute_digits
+    worst_og, worst_eg = _gf_worst(order, digits)
+    with workdps(digits + 20):
         threshold = mpf(10) ** (-digits)
         ok = worst_og <= threshold and worst_eg <= threshold
     lines = [
@@ -451,35 +446,37 @@ def _rel_diff(x, y) -> mpf:
     return abs(x - y) / max(abs(y), mpf("1e-300"))
 
 
-def _chk_delta_methods():
+def _dual_method(kind: str, other: str) -> mpf:
+    """Worst relative difference of the binomial and `other` routes, n <= 40."""
     ns = list(range(2, 41))
-    pb = differences.sequence_many("delta", ns, 12, method="binomial")
-    ps = differences.sequence_many("delta", ns, 12, method="series")
+    pb = differences.sequence_many(kind, ns, 12, method="binomial")
+    po = differences.sequence_many(kind, ns, 12, method=other)
     with workdps(30):
-        worst = max(_rel_diff(x.value, y.value) for x, y in zip(pb, ps))
-    return worst <= mpf("1e-10"), f"worst rel diff {mpmath.nstr(worst, 3)} (n <= 40)"
+        return max(_rel_diff(x.value, y.value) for x, y in zip(pb, po))
 
 
-def _chk_d_methods():
-    ns = list(range(2, 41))
-    pb = differences.sequence_many("d", ns, 12, method="binomial")
-    pm = differences.sequence_many("d", ns, 12, method="moebius")
-    with workdps(30):
-        worst = max(_rel_diff(x.value, y.value) for x, y in zip(pb, pm))
-    return worst <= mpf("1e-10"), f"worst rel diff {mpmath.nstr(worst, 3)} (n <= 40)"
+def _oracle_vs_exact(kind: str, digits: int, exact, ns) -> mpf:
+    """Worst relative difference of a contour oracle from exact(n) at 16
+    digits; `kind` is a Rice line kind, or "saddle" for the saddle contour."""
+    worst = mpf(0)
+    for n in ns:
+        if kind == "saddle":
+            res = contour.saddle_contour_integral(n, digits)
+        else:
+            res = contour.rice_integral(kind, n, digits)
+        value = exact(n, 16).value
+        with workdps(30):
+            worst = max(worst, _rel_diff(res.value, value))
+    return worst
 
 
-def _chk_b_envelope():
+def _b_envelope() -> mpf:
     points = differences.sequence_many("b", list(range(2, 201)), 15)
     with workdps(40):
-        worst = mpf(0)
-        for p in points:
-            ratio = abs(p.value) / asymptotics.envelope_bound(p.n, 40)
-            worst = max(worst, ratio)
-    return worst <= 1, f"max |b_n|/envelope = {mpmath.nstr(worst, 4)} (n <= 200)"
+        return max(abs(p.value) / asymptotics.envelope_bound(p.n, 40) for p in points)
 
 
-def _chk_b_main():
+def _b_main() -> mpf:
     worst = mpf(0)
     with workdps(40):
         for n in (100, 150, 200):
@@ -487,62 +484,10 @@ def _chk_b_main():
             main = asymptotics.b_asym(n, 30).main
             unit = mpmath.exp(-2 * mpmath.sqrt(mpmath.pi * n)) * mpf(n) ** mpf("-0.25")
             worst = max(worst, abs(exact - main) / unit)
-    return worst <= 5, f"max scaled residual {mpmath.nstr(worst, 4)} at n in 100..200"
+    return worst
 
 
-def _chk_gf():
-    og = series.ogf_coeffs(12, 30)
-    eg = series.egf_coeffs(12, 30)
-    points = differences.sequence_many("delta", list(range(2, 13)), 40)
-    with workdps(50):
-        worst = mpf(0)
-        for p in points:
-            worst = max(worst, abs(og.coeff(p.n) - p.value))
-            worst = max(worst, abs(eg.coeff(p.n) * mpmath.factorial(p.n) - p.value))
-    return worst <= mpf("1e-30"), f"worst coefficient diff {mpmath.nstr(worst, 3)} through order 12"
-
-
-def _chk_contour_right():
-    worst = mpf(0)
-    for n in (5, 10, 20, 50):
-        res = contour.rice_integral("zeta-right", n, 12)
-        exact = differences.delta(n, 16).value
-        with workdps(30):
-            worst = max(worst, _rel_diff(res.value, exact))
-    return worst <= mpf("1e-10"), f"worst rel diff vs delta_n {mpmath.nstr(worst, 3)}"
-
-
-def _chk_contour_left():
-    worst = mpf(0)
-    for n in (10, 20):
-        res = contour.rice_integral("zeta-left", n, 10)
-        exact = differences.b(n, 16).value
-        with workdps(30):
-            worst = max(worst, _rel_diff(res.value, exact))
-    return worst <= mpf("1e-10"), f"worst rel diff vs b_n {mpmath.nstr(worst, 3)}"
-
-
-def _chk_contour_inv():
-    worst = mpf(0)
-    for n in (5, 10):
-        res = contour.rice_integral("inv-zeta", n, 12)
-        exact = differences.d(n, 16).value
-        with workdps(30):
-            worst = max(worst, _rel_diff(res.value, exact))
-    return worst <= mpf("1e-10"), f"worst rel diff vs d_n {mpmath.nstr(worst, 3)}"
-
-
-def _chk_saddle():
-    worst = mpf(0)
-    for n in (10, 50):
-        res = contour.saddle_contour_integral(n, 8)
-        exact = differences.b(n, 16).value
-        with workdps(30):
-            worst = max(worst, _rel_diff(res.value, exact))
-    return worst <= mpf("1e-8"), f"worst rel diff vs b_n {mpmath.nstr(worst, 3)}"
-
-
-def _chk_newton():
+def _newton() -> mpf:
     with workdps(40):
         v1, _ = series.newton_eval(-1, 500, 20)
         d1 = abs(v1 - mpf(5) / 12)
@@ -550,40 +495,47 @@ def _chk_newton():
         d2 = abs(v2 - (mpcore.zeta_cx(mpf("0.5"), 40).real + 2))
         v3, _ = series.newton_eval(3, 10, 20)
         d3 = abs(v3 - (mpcore.zeta_int(3, 40) - mpf("0.5")))
-        worst = max(d1, d2, d3)
-    return worst <= mpf("1e-20"), f"worst closed-form diff {mpmath.nstr(worst, 3)}"
+        return max(d1, d2, d3)
 
 
-_FAST_CHECKS = (
-    ("delta-dual-method", _chk_delta_methods),
-    ("d-dual-method", _chk_d_methods),
-    ("b-envelope", _chk_b_envelope),
-    ("b-main-residual", _chk_b_main),
-    ("gf-order-12", _chk_gf),
-)
-
-_FULL_CHECKS = _FAST_CHECKS + (
-    ("contour-right-delta", _chk_contour_right),
-    ("contour-left-b", _chk_contour_left),
-    ("contour-inv-d", _chk_contour_inv),
-    ("contour-saddle-b", _chk_saddle),
-    ("newton-closed-forms", _chk_newton),
+# (name, in the fast suite, worst value, tolerance, detail, nstr digits of
+# the worst value in the detail); a check passes when worst <= tolerance
+_CHECKS = (
+    ("delta-dual-method", True, lambda: _dual_method("delta", "series"), "1e-10",
+     "worst rel diff {} (n <= 40)", 3),
+    ("d-dual-method", True, lambda: _dual_method("d", "moebius"), "1e-10",
+     "worst rel diff {} (n <= 40)", 3),
+    ("b-envelope", True, _b_envelope, "1", "max |b_n|/envelope = {} (n <= 200)", 4),
+    ("b-main-residual", True, _b_main, "5", "max scaled residual {} at n in 100..200", 4),
+    ("gf-order-12", True, lambda: max(_gf_worst(12, 30)), "1e-30",
+     "worst coefficient diff {} through order 12", 3),
+    ("contour-right-delta", False,
+     lambda: _oracle_vs_exact("zeta-right", 12, differences.delta, (5, 10, 20, 50)),
+     "1e-10", "worst rel diff vs delta_n {}", 3),
+    ("contour-left-b", False, lambda: _oracle_vs_exact("zeta-left", 10, differences.b, (10, 20)),
+     "1e-10", "worst rel diff vs b_n {}", 3),
+    ("contour-inv-d", False, lambda: _oracle_vs_exact("inv-zeta", 12, differences.d, (5, 10)),
+     "1e-10", "worst rel diff vs d_n {}", 3),
+    ("contour-saddle-b", False, lambda: _oracle_vs_exact("saddle", 8, differences.b, (10, 50)),
+     "1e-8", "worst rel diff vs b_n {}", 3),
+    ("newton-closed-forms", False, _newton, "1e-20", "worst closed-form diff {}", 3),
 )
 
 
 def cmd_verify(suite: str):
     """Run a named invariant suite; one PASS/FAIL line per check."""
-    checks = {"fast": _FAST_CHECKS, "full": _FULL_CHECKS}.get(suite)
-    if checks is None:
+    if suite not in ("fast", "full"):
         raise DomainError(f"verify suite must be fast or full, got {suite!r}")
+    checks = [row for row in _CHECKS if row[1] or suite == "full"]
     lines = []
     failed = 0
-    for name, fn in checks:
-        ok, detail = fn()
-        lines.append(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
+    for name, _, worst_of, tol, detail, nd in checks:
+        worst = worst_of()
+        ok = worst <= mpf(tol)
+        lines.append(f"{'PASS' if ok else 'FAIL'} {name}: {detail.format(mpmath.nstr(worst, nd))}")
         failed += 0 if ok else 1
     lines.append(f"{len(checks) - failed}/{len(checks)} checks passed")
-    return lines, (1 if failed else 0)
+    return lines, None, (1 if failed else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -653,68 +605,43 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from(args) -> RunConfig:
-    if getattr(args, "n_range", None) is not None:
-        ns = _parse_ns(args.n_range)
-    elif getattr(args, "n", None) is not None:
-        ns = _parse_ns(args.n)
-    else:
-        ns = ()
     return RunConfig(
-        command=args.command,
-        ns=ns,
+        ns=_parse_ns(getattr(args, "n_range", None) or args.n),
         m=getattr(args, "m", 1),
         k=getattr(args, "k", 1),
-        digits=getattr(args, "digits", 15),
+        digits=args.digits,
         method=getattr(args, "method", None),
-        fmt=getattr(args, "fmt", "csv"),
-        out=getattr(args, "out", None),
-        threads=getattr(args, "threads", 1),
+        threads=args.threads,
         quad_T=getattr(args, "quad_T", None),
         quad_panels=getattr(args, "quad_panels", None),
     )
 
 
-def _dispatch(args) -> int:
-    if args.command == "verify":
-        lines, code = cmd_verify(args.suite)
-        sys.stdout.write("\n".join(lines) + "\n")
-        return code
+_SEQ_COLUMNS = ("n", "value", "method", "digits")
 
-    config = _config_from(args)
-    if args.command == "seq":
-        rows = cmd_sequence(config, args.kind)
-        _emit(_render_table(rows, ("n", "value", "method", "digits"), config.fmt), config.out)
-    elif args.command == "asym":
-        rows = cmd_asym(config, args.kind)
-        _emit(_render_table(rows, ("n", "value", "method", "digits"), config.fmt), config.out)
-    elif args.command == "signs":
-        lines, fields = cmd_signs(config)
-        _emit(_render_report(lines, config.fmt, fields), config.out)
-    elif args.command == "figure2":
-        rows = cmd_figure2(config)
-        _emit(_render_table(rows, ("n", "scaled_exact", "scaled_asym"), config.fmt), config.out)
-    elif args.command == "identity":
-        lines, fields = cmd_identity(config)
-        _emit(_render_report(lines, config.fmt, fields), config.out)
-    elif args.command == "zero-model":
-        rows, comments = cmd_zero_model(config)
-        _emit(
-            _render_table(rows, ("n", "zero", "term", "envelope"), config.fmt, comments),
-            config.out,
-        )
-    elif args.command == "contour":
-        lines, fields = cmd_contour(config, args.kind)
-        _emit(_render_report(lines, config.fmt, fields), config.out)
-    elif args.command == "newton":
-        lines, fields = cmd_newton(config, args.s)
-        _emit(_render_report(lines, config.fmt, fields), config.out)
-    elif args.command == "gf-check":
-        lines, fields, code = cmd_gf_check(config, args.order)
-        _emit(_render_report(lines, config.fmt, fields), config.out)
-        return code
-    else:  # pragma: no cover - argparse restricts choices
-        raise DomainError(f"unknown command {args.command!r}")
-    return 0
+# command -> (handler, table columns, or None for a report); a handler maps
+# the parsed arguments to (body, extra, exit status) for `_render`
+_COMMANDS = {
+    "seq": (lambda a: (cmd_sequence(_config_from(a), a.kind), (), 0), _SEQ_COLUMNS),
+    "asym": (lambda a: (cmd_asym(_config_from(a), a.kind), (), 0), _SEQ_COLUMNS),
+    "figure2": (lambda a: (cmd_figure2(_config_from(a)), (), 0),
+                ("n", "scaled_exact", "scaled_asym")),
+    "zero-model": (lambda a: (*cmd_zero_model(_config_from(a)), 0),
+                   ("n", "zero", "term", "envelope")),
+    "signs": (lambda a: (*cmd_signs(_config_from(a)), 0), None),
+    "identity": (lambda a: (*cmd_identity(_config_from(a)), 0), None),
+    "contour": (lambda a: (*cmd_contour(_config_from(a), a.kind), 0), None),
+    "newton": (lambda a: (*cmd_newton(_config_from(a), a.s), 0), None),
+    "gf-check": (lambda a: cmd_gf_check(_config_from(a), a.order), None),
+    "verify": (lambda a: cmd_verify(a.suite), None),
+}
+
+
+def _dispatch(args) -> int:
+    handler, columns = _COMMANDS[args.command]
+    body, extra, code = handler(args)
+    _emit(_render(body, extra, columns, getattr(args, "fmt", "csv")), getattr(args, "out", None))
+    return code
 
 
 def main(argv=None) -> int:

@@ -50,7 +50,7 @@ from . import mpcore
 from .asymptotics import envelope_bound
 from .differences import _binomial_sum
 from .errors import DomainError, TruncationBoundError
-from .precision import PrecisionBudget, as_budget
+from .precision import as_budget, digits
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -571,15 +571,6 @@ def _choose_height(tail, tol_abs, T_given, what: str, T_start=4):
     raise TruncationBoundError(f"{what}: no truncation height up to {mpmath.nstr(T, 6)} meets tolerance")
 
 
-def _target_digits(prec) -> int:
-    if isinstance(prec, PrecisionBudget):
-        return prec.target_digits
-    t = int(prec)
-    if t < 1:
-        raise DomainError(f"precision must be >= 1 digit, got {prec!r}")
-    return t
-
-
 def rice_integral(kind: str, n: int, prec=15, spec: ContourSpec | None = None) -> QuadratureResult:
     """Line-integral evaluation of delta_n (zeta-right), b_n (zeta-left) or d_n (inv-zeta).
 
@@ -593,7 +584,7 @@ def rice_integral(kind: str, n: int, prec=15, spec: ContourSpec | None = None) -
         raise DomainError(f"zeta-left integral needs n >= 4, got {n}")
     if n > _MAX_RICE_N:
         raise DomainError(f"rice_integral is an oracle for n <= {_MAX_RICE_N}, got {n}")
-    target = _target_digits(prec)
+    target = digits(prec)[0]
     if target > _MAX_TARGET:
         raise DomainError(f"rice_integral is capped at {_MAX_TARGET} digits, got {target}")
     auto_degree = spec is None
@@ -679,7 +670,7 @@ def saddle_contour_integral(n: int, prec=15, spec: ContourSpec | None = None) ->
         raise DomainError(f"saddle_contour_integral needs an int n >= 4, got {n!r}")
     if n > 500:
         raise DomainError(f"saddle_contour_integral is an oracle for n <= 500, got {n}")
-    target = _target_digits(prec)
+    target = digits(prec)[0]
     if target > _MAX_TARGET:
         raise DomainError(f"saddle_contour_integral is capped at {_MAX_TARGET} digits, got {target}")
     spec = spec or ContourSpec(kind="fig1-saddle")

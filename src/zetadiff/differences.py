@@ -402,7 +402,7 @@ def sequence_many(
 
     The working precision is sized for the largest index, so every value
     equals the single call at that budget bit for bit.  Binomial routes read
-    each input once (zeta values from the prefilled cache, Hurwitz values
+    each input once (zeta values from `mpcore.zeta_int`, Hurwitz values
     from one fixed-point table) and run the exact kernel once for the whole
     batch; the rearranged routes (delta 'series', d 'moebius')
     go index by index.  `threads` is accepted for compatibility and changes
@@ -431,8 +431,6 @@ def sequence_many(
     if method == "moebius":
         return [d(n, budget, method) for n in ns]
 
-    if q is None:
-        mpcore.prefill_zeta_cache(max(n_max + (kind == "c"), 2), working)
     values = _kernel(kind, ns, working, q)
     label = "residue-adjusted" if kind == "a" else "binomial"
     return [SequencePoint(n, values[n], label, target_digits) for n in ns]

@@ -1,19 +1,18 @@
 """Arbitrary-precision scalar kernel.
 
-Thin, policy-carrying layer over mpmath: integer zeta values with a
-prefillable cache, Hurwitz zeta values at integer arguments from an exact
-fixed-point table, Euler's constant, exact harmonic numbers, digamma at
-rational points, complex gamma/zeta (with the reflection route for the left
-half-plane), and a Mobius sieve.
+Thin, policy-carrying layer over mpmath: integer zeta values, Hurwitz zeta
+values at integer arguments from an exact fixed-point table, Euler's
+constant, exact harmonic numbers, digamma at rational points, complex
+gamma/zeta (with the reflection route for the left half-plane), and a Mobius
+sieve.
 
-Precision convention for this module: `prec` is either a PrecisionBudget
-(its working_digits are used) or a plain int meaning working digits directly.
-Scalar kernel ops have no cancellation of their own; the sequence layer is
-where targets get inflated into working budgets.
+Precision convention for this module: `prec` is a PrecisionBudget (its
+working_digits are used), a plain int meaning working digits directly, or
+None for the ambient mp.dps, as `precision.digits` reads them.  Scalar
+kernel ops have no cancellation of their own; the sequence layer is where
+targets get inflated into working budgets.
 
-Cache discipline: integer zeta values are the one cache; `prefill_zeta_cache`
-is its only writer and readers re-round cached values down to their working
-precision.  Hurwitz values are not cached: `_hurwitz_fixed` builds a table of
+Hurwitz values are not cached: `_hurwitz_fixed` builds a table of
 zeta(l, m/k)/k^l, l <= N, in one fixed-point pass, each entry a function of
 (l, m, k, P) alone and within 2 units of 2^-P.
 """
@@ -29,10 +28,7 @@ from mpmath import mpf, mpc, workdps
 from mpmath.libmp import dps_to_prec, from_rational, round_nearest
 
 from .errors import DomainError, TruncationBoundError
-from .precision import PrecisionBudget
-
-_ZETA_CACHE: dict[int, mpf] = {}
-_ZETA_CACHE_DPS = 0
+from .precision import digits
 
 
 @dataclass(frozen=True)
@@ -64,17 +60,6 @@ def _coerce_shift(shift) -> RationalShift:
     raise DomainError(f"shift must be RationalShift or (m, k) tuple, got {shift!r}")
 
 
-def _working_digits(prec) -> int:
-    if prec is None:
-        return mpmath.mp.dps
-    if isinstance(prec, PrecisionBudget):
-        return prec.working_digits
-    w = int(prec)
-    if w < 1:
-        raise DomainError(f"working digits must be >= 1, got {prec}")
-    return w
-
-
 def _check_int_exponent(ell) -> int:
     if isinstance(ell, bool) or not isinstance(ell, int):
         raise DomainError(f"exponent must be an int, got {ell!r}")
@@ -83,31 +68,14 @@ def _check_int_exponent(ell) -> int:
     return ell
 
 
-def prefill_zeta_cache(max_ell: int, working_digits: int) -> None:
-    """Compute zeta(2..max_ell) once at `working_digits`.
-
-    Raising the precision discards the old cache; lowering it is a no-op
-    for precision (existing entries already carry more digits).
-    """
-    global _ZETA_CACHE_DPS
-    if working_digits > _ZETA_CACHE_DPS:
-        _ZETA_CACHE.clear()
-        _ZETA_CACHE_DPS = working_digits
-    with workdps(_ZETA_CACHE_DPS):
-        for ell in range(2, max_ell + 1):
-            if ell not in _ZETA_CACHE:
-                _ZETA_CACHE[ell] = mpmath.zeta(ell)
-
-
 def zeta_int(ell: int, prec=None) -> mpf:
-    """zeta(ell) for integer ell >= 2, rounded to the working precision."""
+    """zeta(ell) for integer ell >= 2, rounded to the working precision.
+
+    mpmath caches the costly integer zeta values itself, each at the
+    highest precision asked, and rounds them down for later requests.
+    """
     ell = _check_int_exponent(ell)
-    working = _working_digits(prec)
-    with workdps(working):
-        if _ZETA_CACHE_DPS >= working:
-            cached = _ZETA_CACHE.get(ell)
-            if cached is not None:
-                return +cached
+    with workdps(digits(prec)[1]):
         return +mpmath.zeta(ell)
 
 
@@ -119,7 +87,7 @@ def hurwitz_int(ell: int, shift, prec=None) -> mpf:
     P raised by ceil(ell log2 m) bits, as the entry can be as small as m^-ell.
     """
     ell = _check_int_exponent(ell)
-    working = _working_digits(prec)
+    working = digits(prec)[1]
     if isinstance(shift, int) and not isinstance(shift, bool):
         if shift < 1:
             raise DomainError(f"integer shift must be >= 1, got {shift}")
@@ -209,7 +177,7 @@ def _from_fixed(num: int, bits: int, working: int, den: int = 1) -> mpf:
 
 
 def euler_gamma(prec=None) -> mpf:
-    with workdps(_working_digits(prec)):
+    with workdps(digits(prec)[1]):
         return +mpmath.euler
 
 
@@ -226,7 +194,7 @@ def harmonic(n: int) -> Fraction:
 def harmonic_mpf(n: int, prec=None) -> mpf:
     """H_n correctly rounded: exact rational, one rounding at the end."""
     h = harmonic(n)
-    working = _working_digits(prec)
+    working = digits(prec)[1]
     with workdps(working):
         return +mpmath.fraction(h.numerator, h.denominator)
 
@@ -234,7 +202,7 @@ def harmonic_mpf(n: int, prec=None) -> mpf:
 def digamma_rational(shift, prec=None) -> mpf:
     """psi(m/k) at the working precision."""
     shift = _coerce_shift(shift)
-    working = _working_digits(prec)
+    working = digits(prec)[1]
     with workdps(working + 10):
         v = mpmath.digamma(shift.as_mpf())
     with workdps(working):
@@ -243,7 +211,7 @@ def digamma_rational(shift, prec=None) -> mpf:
 
 def gamma_cx(s, prec=None) -> mpc:
     """Gamma(s) for complex s away from the poles at 0, -1, -2, ..."""
-    working = _working_digits(prec)
+    working = digits(prec)[1]
     with workdps(working):
         s = mpc(s)
         if s.imag == 0 and s.real == mpmath.floor(s.real) and s.real <= 0:
@@ -259,7 +227,7 @@ def zeta_cx(s, prec=None) -> mpc:
     routes the evaluation to the half-plane where the direct series-based
     algorithms are well conditioned.
     """
-    working = _working_digits(prec)
+    working = digits(prec)[1]
     with workdps(working + 10):
         s = mpc(s)
         if s == 1:

@@ -14,7 +14,9 @@ in two flavors:
 
 Budgets are ordinary data (`PrecisionBudget`); operations refuse budgets that
 cannot deliver the requested target by raising `InsufficientPrecisionError`
-with the minimum acceptable working precision attached.
+with the minimum acceptable working precision attached.  `digits` reads any
+precision argument (a budget, a plain int or None) as a (target, working)
+pair.
 
 Formatting is decimal-exact: an mpf is a dyadic rational, which converts to a
 `decimal.Decimal` without error, and rounding to N significant digits is then
@@ -75,6 +77,23 @@ class PrecisionBudget:
                 f"budget has {self.working_digits}",
                 required_digits=working_digits,
             )
+
+
+def digits(prec, extra: int = 0) -> tuple[int, int]:
+    """(target, working) digits of a precision argument.
+
+    A PrecisionBudget gives its own pair, an int d >= 1 gives (d, d + extra)
+    and None gives the ambient mp.dps for both; each caller picks the
+    `extra` its own plain-int convention needs.
+    """
+    if prec is None:
+        return mpmath.mp.dps, mpmath.mp.dps
+    if isinstance(prec, PrecisionBudget):
+        return prec.target_digits, prec.working_digits
+    d = int(prec)
+    if d < 1:
+        raise DomainError(f"precision must be >= 1 digit, got {prec!r}")
+    return d, d + extra
 
 
 def cancellation_digits(n: int) -> int:

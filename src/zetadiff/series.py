@@ -24,7 +24,7 @@ from mpmath import mpf, workdps
 from . import differences, mpcore
 from .asymptotics import envelope_bound
 from .errors import DomainError, InsufficientPrecisionError, TruncationBoundError
-from .precision import PrecisionBudget
+from .precision import PrecisionBudget, digits
 
 # Hard ceiling on tail-scan length; past this the certificate search gives up.
 _TAIL_SCAN_CAP = 400_000
@@ -92,16 +92,6 @@ class TruncatedSeries:
     __rmul__ = __mul__
 
 
-def _targets(prec, N: int) -> tuple[int, int]:
-    """(target, working) digits; ints are target requests as elsewhere."""
-    if isinstance(prec, PrecisionBudget):
-        return prec.target_digits, prec.working_digits
-    target = int(prec)
-    if target < 1:
-        raise DomainError(f"precision must be >= 1 digit, got {prec!r}")
-    return target, target + 12 + max(0, math.ceil(math.log10(N + 1)))
-
-
 def newton_eval(s, N: int, prec: PrecisionBudget | int = 15):
     """Partial Newton sum of order N at complex s with a tail certificate.
 
@@ -118,7 +108,7 @@ def newton_eval(s, N: int, prec: PrecisionBudget | int = 15):
     """
     if not isinstance(N, int) or N < 1:
         raise DomainError(f"truncation order must be an integer >= 1, got {N!r}")
-    target, working = _targets(prec, N)
+    target, working = digits(prec, 12 + math.ceil(math.log10(N + 1)))
     s = mpmath.mpmathify(s)
     if isinstance(s, mpmath.mpc) and s.imag == 0:
         s = s.real
@@ -197,18 +187,6 @@ def newton_eval(s, N: int, prec: PrecisionBudget | int = 15):
         return +value, mpf(bound) + arith
 
 
-def _gf_working(M: int, prec) -> tuple[int, int]:
-    if isinstance(prec, PrecisionBudget):
-        target, base = prec.target_digits, prec.working_digits
-    else:
-        target = int(prec)
-        if target < 1:
-            raise DomainError(f"precision must be >= 1 digit, got {prec!r}")
-        base = target + 10 + M
-    # composition squares error growth; run it half again as wide
-    return target, math.ceil(1.5 * base)
-
-
 def _check_order(M) -> int:
     if not isinstance(M, int) or M < 2:
         raise DomainError(f"generating-function order must be an integer >= 2, got {M!r}")
@@ -223,9 +201,9 @@ def ogf_coeffs(M: int, prec: PrecisionBudget | int = 30) -> TruncatedSeries:
     u = z/(1-z).  The z^n coefficient equals delta_n for n >= 2.
     """
     M = _check_order(M)
-    _, working = _gf_working(M, prec)
+    # composition squares error growth; run it half again as wide
+    working = math.ceil(1.5 * digits(prec, 10 + M)[1])
     with workdps(working):
-        mpcore.prefill_zeta_cache(M + 1, working)
         u = TruncatedSeries((mpf(0),) + (mpf(1),) * M)
         acc = TruncatedSeries((mpf(0),) * (M + 1))
         for k in range(M, 0, -1):
@@ -242,9 +220,8 @@ def egf_coeffs(M: int, prec: PrecisionBudget | int = 30) -> TruncatedSeries:
     n! equals delta_n for n >= 2.
     """
     M = _check_order(M)
-    _, working = _gf_working(M, prec)
+    working = math.ceil(1.5 * digits(prec, 10 + M)[1])
     with workdps(working):
-        mpcore.prefill_zeta_cache(M, working)
         fact = [mpf(1)]
         for n in range(1, M + 1):
             fact.append(fact[-1] * n)

@@ -4,7 +4,7 @@ import mpmath
 import pytest
 from mpmath import mpf, workdps
 
-from zetadiff import differences, mpcore
+from zetadiff import asymptotics, contour, differences, mpcore, series
 from zetadiff.errors import DomainError
 from zetadiff.precision import PrecisionBudget
 
@@ -181,6 +181,22 @@ def test_library_calls_leave_mp_precision_unchanged():
         lambda: differences.sequence_many("a", list(range(1, 41)), 15, shift=(3, 4)),
         lambda: differences.d(60, 15, method="moebius"),
         lambda: differences.D_of(30, 20),
+        lambda: differences.delta(40, 15),
+        lambda: differences.b(40, 15),
+        lambda: differences.d(40, 15),
+        lambda: differences.c(40, 15),
+        lambda: differences.sequence_many("b", list(range(1, 41)), 15),
+        lambda: differences.sequence_many("delta", list(range(2, 41)), 15),
+        lambda: differences.sequence_many("d", list(range(2, 41)), 15),
+        lambda: differences.sequence_many("c", list(range(1, 41)), 15),
+        lambda: mpcore.zeta_int(5, 40),
+        lambda: series.ogf_coeffs(8, 20),
+        lambda: series.egf_coeffs(8, 20),
+        lambda: series.newton_eval(mpf("0.5"), 100, 10),
+        lambda: asymptotics.envelope_bound(50, 30),
+        lambda: asymptotics.b_asym(50, 30),
+        lambda: contour.rice_integral("zeta-right", 6, 10),
+        lambda: contour.saddle_contour_integral(50, 8),
     ]
     saved = mpmath.mp.prec
     try:
@@ -190,3 +206,20 @@ def test_library_calls_leave_mp_precision_unchanged():
             assert mpmath.mp.prec == 77
     finally:
         mpmath.mp.prec = saved
+
+
+@pytest.mark.parametrize("prec", [0, -3])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p: mpcore.zeta_int(3, p),
+        lambda p: asymptotics.b_asym(50, p),
+        lambda p: contour.rice_integral("zeta-right", 6, p),
+        lambda p: series.newton_eval(mpf("0.5"), 100, p),
+        lambda p: series.ogf_coeffs(8, p),
+    ],
+    ids=["zeta_int", "b_asym", "rice_integral", "newton_eval", "ogf_coeffs"],
+)
+def test_nonpositive_precision_is_a_domain_error(call, prec):
+    with pytest.raises(DomainError):
+        call(prec)

@@ -2,6 +2,9 @@
 
 The files in tests/data/golden were captured from the mpf-loop implementation
 that the exact integer kernel replaced; the kernel must print the same bytes.
+The second group covers every other command and both renderers (CSV and
+JSON tables, text and JSON reports); it was captured before the verify checks
+and the command dispatch became tables.
 """
 
 from pathlib import Path
@@ -26,6 +29,16 @@ COMMANDS = {
     "signs-300": "signs --n 300",
     "newton-real": "newton --s 0.5 --n 500 --digits 20",
     "newton-complex": "newton --s=-1.3+2.1i --n 400 --digits 20",
+    "verify-fast": "verify fast",
+    "gf-check": "gf-check",
+    "asym-b": "asym b --n 10,100,1000",
+    "asym-a-1-2": "asym a --m 1 --k 2 --n 50,200",
+    "figure2-5-60": "figure2 --range 5..60",
+    "identity": "identity",
+    "zero-model": "zero-model",
+    "contour-right-6": "contour right --n 6",
+    "signs-200-json": "signs --n 200 --format json",
+    "seq-b-1-8-json": "seq b --n 1..8 --format json",
 }
 
 
