@@ -35,8 +35,6 @@ from .errors import (
 )
 from .precision import format_decimal
 
-_SEQ_KINDS = ("b", "delta", "A", "a", "d", "c")
-_SEQ_METHODS = {"delta": ("binomial", "series"), "d": ("binomial", "moebius")}
 _CONTOUR_KINDS = {"right": "zeta-right", "left": "zeta-left", "inv": "inv-zeta"}
 # display digits may go lower, computation never does
 _COMPUTE_FLOOR = 10
@@ -68,26 +66,9 @@ class RunConfig:
         return max(self.digits, _COMPUTE_FLOOR)
 
 
-@dataclass(frozen=True)
-class ZeroModelInput:
-    """Nontrivial-zero data for the illustrative 1/zeta oscillation model."""
-
-    zeros: tuple  # of (rho: mpc, coeff_magnitude: mpf)
-
-    def __post_init__(self):
-        if not self.zeros:
-            raise DomainError("zero model needs at least one zero")
-        for rho, coeff in self.zeros:
-            rho = mpc(rho)
-            if not (0 < rho.real < 1):
-                raise DomainError(f"Re(rho) must lie in (0,1), got {rho}")
-            if not mpf(coeff) > 0:
-                raise DomainError(f"coefficient magnitude must be positive, got {coeff}")
-
-
-DEFAULT_ZEROS = ZeroModelInput(
-    ((mpc("0.5", "14.13"), mpf("1e-9")), (mpc("0.5", "21.022"), mpf("1e-14")))
-)
+# (rho, coefficient magnitude) of the first two nontrivial zeros in the
+# illustrative 1/zeta oscillation model
+_MODEL_ZEROS = ((mpc("0.5", "14.13"), mpf("1e-9")), (mpc("0.5", "21.022"), mpf("1e-14")))
 
 
 def _parse_ns(text: str) -> tuple[int, ...]:
@@ -114,7 +95,13 @@ def _parse_ns(text: str) -> tuple[int, ...]:
 
 
 def _parse_complex(text: str):
-    s = mpmath.mpmathify(text.strip().replace("i", "j"))
+    """A finite real or complex number; 'i' and 'j' both mark the imaginary unit."""
+    try:
+        s = mpmath.mpmathify(text.strip().replace("i", "j"))
+    except (TypeError, ValueError, AttributeError) as exc:  # mpmath's parse failures
+        raise DomainError(f"cannot parse complex number {text!r}") from exc
+    if not mpmath.isfinite(s):
+        raise DomainError(f"evaluation point must be finite, got {text!r}")
     return s
 
 
@@ -147,23 +134,17 @@ def _render(body, extra, columns, fmt: str) -> str:
 
 def cmd_sequence(config: RunConfig, kind: str) -> list[dict]:
     """Sequence values over the requested indices as emit-ready rows."""
-    if kind not in _SEQ_KINDS:
+    if kind not in differences.KINDS:
         raise DomainError(f"unknown sequence kind {kind!r}")
-    if config.method is not None:
-        allowed = _SEQ_METHODS.get(kind, ())
-        if config.method not in allowed:
-            raise DomainError(
-                f"--method {config.method!r} is not valid for seq {kind}"
-                + (f" (choose from {allowed})" if allowed else " (it takes none)")
-            )
-    shift = (config.m, config.k) if kind in ("A", "a") else None
+    second = differences.KINDS[kind][1]
+    allowed = ("binomial", second) if second else ()
+    if config.method is not None and config.method not in allowed:
+        raise DomainError(
+            f"--method {config.method!r} is not valid for seq {kind}"
+            + (f" (choose from {allowed})" if allowed else " (it takes none)")
+        )
     points = differences.sequence_many(
-        kind,
-        list(config.ns),
-        target_digits=config.compute_digits,
-        shift=shift,
-        method=config.method,
-        threads=config.threads,
+        kind, list(config.ns), config.compute_digits, (config.m, config.k), config.method
     )
     return [
         {
@@ -211,33 +192,27 @@ def cmd_signs(config: RunConfig):
     quarter_pi = mpmath.pi / 4
     try:
         fit = asymptotics.beta_fit(range(1, n_max + 1), target_digits=digits)
+        indices = fit.sign_changes
     except FitError as exc:
         # short ranges have too few changes for the 3-parameter fit;
         # the census itself is still well defined
+        fit, unavailable = None, f"quadratic fit: unavailable ({exc})"
         indices = asymptotics.sign_change_indices(n_max, target_digits=digits)
-        changes = ",".join(str(i) for i in indices)
-        lines = [
-            f"sign changes (n <= {n_max}): {changes}",
-            f"count: {len(indices)}",
-            f"quadratic fit: unavailable ({exc})",
-        ]
-        fields = {"n_max": n_max, "sign_changes": list(indices), "alpha": None}
-        return lines, fields
-    changes = ",".join(str(i) for i in fit.sign_changes)
-    lines = [
-        f"sign changes (n <= {n_max}): {changes}",
-        f"count: {len(fit.sign_changes)}",
+    changes = ",".join(str(i) for i in indices)
+    lines = [f"sign changes (n <= {n_max}): {changes}", f"count: {len(indices)}"]
+    fields = {"n_max": n_max, "sign_changes": list(indices), "alpha": None}
+    if fit is None:
+        return lines + [unavailable], fields
+    lines += [
         f"quadratic coefficient alpha: {format_decimal(fit.alpha, 6)}",
         f"pi/4: {format_decimal(quarter_pi, 6)}",
         f"alpha / (pi/4): {format_decimal(fit.alpha_over_quarter_pi, 6)}",
     ]
-    fields = {
-        "n_max": n_max,
-        "sign_changes": list(fit.sign_changes),
-        "alpha": format_decimal(fit.alpha, 12),
-        "quarter_pi": format_decimal(quarter_pi, 12),
-        "alpha_over_quarter_pi": format_decimal(fit.alpha_over_quarter_pi, 12),
-    }
+    fields.update(
+        alpha=format_decimal(fit.alpha, 12),
+        quarter_pi=format_decimal(quarter_pi, 12),
+        alpha_over_quarter_pi=format_decimal(fit.alpha_over_quarter_pi, 12),
+    )
     return lines, fields
 
 
@@ -298,23 +273,22 @@ def cmd_identity(config: RunConfig):
     return lines, fields
 
 
-def cmd_zero_model(config: RunConfig, zeros: ZeroModelInput = DEFAULT_ZEROS):
+def cmd_zero_model(config: RunConfig):
     """Per-zero oscillation terms coeff * n^Re(rho) * cos(Im(rho) ln n).
 
     This is an illustrative model, not a computation of the grouped
-    zero-sum expansion; only the coefficient magnitudes quoted for the
-    first two zeros ship as defaults.
+    zero-sum expansion; it uses the coefficient magnitudes quoted for the
+    first two zeros.
     """
     comments = [
         "illustrative model, not a computation of the grouped zero sum",
         "term(n) = coeff * n^Re(rho) * cos(Im(rho) * ln n)",
     ]
     with workdps(config.compute_digits + 10):
-        for i, (rho, coeff) in enumerate(zeros.zeros, start=1):
-            rho = mpc(rho)
-            n_unit = (1 / mpf(coeff)) ** (1 / rho.real)
+        for i, (rho, coeff) in enumerate(_MODEL_ZEROS, start=1):
+            n_unit = (1 / coeff) ** (1 / rho.real)
             comments.append(
-                f"zero {i}: rho = {mpmath.nstr(rho, 8)}, coeff = {mpmath.nstr(mpf(coeff), 3)}, "
+                f"zero {i}: rho = {mpmath.nstr(rho, 8)}, coeff = {mpmath.nstr(coeff, 3)}, "
                 f"amplitude reaches 1 near n = {format_decimal(n_unit, 3)}"
             )
         rows = []
@@ -322,9 +296,8 @@ def cmd_zero_model(config: RunConfig, zeros: ZeroModelInput = DEFAULT_ZEROS):
             if n < 2:
                 raise DomainError(f"zero-model needs n >= 2, got {n}")
             nn = mpf(n)
-            for i, (rho, coeff) in enumerate(zeros.zeros, start=1):
-                rho = mpc(rho)
-                envelope = mpf(coeff) * nn ** rho.real
+            for i, (rho, coeff) in enumerate(_MODEL_ZEROS, start=1):
+                envelope = coeff * nn ** rho.real
                 term = envelope * mpmath.cos(rho.imag * mpmath.log(nn))
                 rows.append(
                     {
@@ -387,13 +360,6 @@ def cmd_newton(config: RunConfig, s_text: str):
     # keep the full-precision mantissa; mpc() would re-round at ambient dps
     re = value.real if isinstance(value, mpc) else value
     im = value.imag if isinstance(value, mpc) else mpf(0)
-    lines = [
-        f"s = {s_text.strip()}",
-        f"N = {N}",
-        f"value_re = {format_decimal(re, config.digits)}",
-        f"value_im = {format_decimal(im, config.digits)}",
-        f"tail_bound = {format_decimal(tail, 3)}",
-    ]
     fields = {
         "s": s_text.strip(),
         "N": N,
@@ -401,7 +367,7 @@ def cmd_newton(config: RunConfig, s_text: str):
         "value_im": format_decimal(im, config.digits),
         "tail_bound": format_decimal(tail, 3),
     }
-    return lines, fields
+    return [f"{key} = {text}" for key, text in fields.items()], fields
 
 
 def _gf_worst(order: int, digits: int) -> tuple[mpf, mpf]:
@@ -560,7 +526,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="accepted for compatibility; the output never depends on it")
 
     sp = sub.add_parser("seq", help="difference-sequence values")
-    sp.add_argument("kind", choices=_SEQ_KINDS)
+    sp.add_argument("kind", choices=tuple(differences.KINDS))
     sp.add_argument("--m", type=int, default=1)
     sp.add_argument("--k", type=int, default=1)
     sp.add_argument("--method", default=None)

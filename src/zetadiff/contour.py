@@ -65,7 +65,6 @@ class ContourSpec:
     """Contour geometry; `vertical` is a Rice line, `fig1-saddle` the slant path."""
 
     kind: str = "vertical"
-    c: float | None = None
     c1: float = 1.0
     c2: float = 3.0
     T: float | None = None
@@ -81,8 +80,8 @@ class ContourSpec:
                     "fig1-saddle needs 0 < c1 < sqrt(pi) < c2 < 2 sqrt(pi), "
                     f"got c1={self.c1}, c2={self.c2}"
                 )
-        if self.T is not None and not self.T > 0:
-            raise DomainError(f"truncation height must be positive, got {self.T}")
+        if self.T is not None and not 0 < self.T < math.inf:
+            raise DomainError(f"truncation height must be finite and positive, got {self.T}")
         if self.panels is not None and self.panels < 1:
             raise DomainError(f"panel count must be >= 1, got {self.panels}")
         if self.degree < 3 or self.degree > 256:
@@ -480,14 +479,15 @@ def _line_freq(n: int, chi_phase: bool, ln_amp0: float, amp_slope: float, tol: f
     return freq
 
 
-def _line_data(kind: str, n: int, c, working: int):
-    """Integrand f(t), tail bound, result scale, abscissa, frequency model."""
+def _line_data(kind: str, n: int, working: int):
+    """Integrand f(t), tail bound, result scale, abscissa, frequency model.
+
+    The right and inverse lines sit at Re s = 3/2, the left line at -1/2.
+    """
     with workdps(working):
         ln_fact = mpmath.loggamma(n + 1)
+        c = mpf("-0.5") if kind == "zeta-left" else mpf("1.5")
         if kind == "zeta-right":
-            c = mpf("1.5") if c is None else mpf(c)
-            if not (1 < c < 2):
-                raise DomainError(f"zeta-right needs abscissa in (1,2), got {c}")
             zc = mpmath.zeta(c)
 
             def f(t):
@@ -503,9 +503,6 @@ def _line_data(kind: str, n: int, c, working: int):
                 return _line_freq(n, False, float(mpmath.ln(zc)), 0.0, tol)
 
         elif kind == "inv-zeta":
-            c = mpf("1.5") if c is None else mpf(c)
-            if not (1 < c < 2):
-                raise DomainError(f"inv-zeta needs abscissa in (1,2), got {c}")
             bound = mpmath.zeta(c) / mpmath.zeta(2 * c)
 
             def f(t):
@@ -520,11 +517,7 @@ def _line_data(kind: str, n: int, c, working: int):
             def freq_for(tol: float):
                 return _line_freq(n, False, float(mpmath.ln(bound)), 0.0, tol)
 
-        elif kind == "zeta-left":
-            c = mpf("-0.5") if c is None else mpf(c)
-            if not (-1 < c < 0):
-                raise DomainError(f"zeta-left needs abscissa in (-1,0), got {c}")
-
+        else:  # zeta-left
             def f(t):
                 s = c + mpc(0, 1) * t
                 return (mpcore.zeta_cx(s) * _rice_kernel(s, n, ln_fact)).real
@@ -546,22 +539,27 @@ def _line_data(kind: str, n: int, c, working: int):
             def freq_for(tol: float):
                 return _line_freq(n, True, float(mpmath.ln(amp)), 1.0, tol)
 
-        else:
-            raise DomainError(f"unknown Rice line kind {kind!r}; expected one of {RICE_KINDS}")
         return f, tail, +scale, c, freq_for
 
 
 def _choose_height(tail, tol_abs, T_given, what: str, T_start=4):
-    """Smallest doubling-search T with tail(T) <= tol_abs, or validate T_given."""
+    """Smallest T of the geometric search with tail(T) <= tol_abs, or validate
+    T_given; a T_given that fails is refused naming the search's T rounded up."""
     if T_given is not None:
         T = mpf(T_given)
         bound = tail(T)
-        if not bound <= tol_abs:
-            raise TruncationBoundError(
-                f"{what}: tail bound {mpmath.nstr(bound, 6)} at height T={mpmath.nstr(T, 6)} "
-                f"exceeds tolerance {mpmath.nstr(tol_abs, 6)}; increase T"
-            )
-        return T, bound
+        if bound <= tol_abs:
+            return T, bound
+        try:
+            found = int(mpmath.ceil(_choose_height(tail, tol_abs, None, what, T_start)[0]))
+        except TruncationBoundError:
+            found = None
+        ok = found is not None and tail(mpf(found)) <= tol_abs
+        remedy = f"T={found} would suffice" if ok else "increase T"
+        raise TruncationBoundError(
+            f"{what}: tail bound {mpmath.nstr(bound, 6)} at height T={mpmath.nstr(T, 6)} "
+            f"exceeds tolerance {mpmath.nstr(tol_abs, 6)}; {remedy}"
+        )
     T = mpf(T_start)
     for _ in range(400):
         bound = tail(T)
@@ -601,7 +599,7 @@ def rice_integral(kind: str, n: int, prec=15, spec: ContourSpec | None = None) -
     working = target + cancel + 12
 
     with workdps(working):
-        f, tail, scale, c, freq_for = _line_data(kind, n, spec.c, working)
+        f, tail, scale, c, freq_for = _line_data(kind, n, working)
         tol_abs = mpf(10) ** (-(target + 1)) * scale
         T, bound = _choose_height(tail, tol_abs, spec.T, f"{kind} line integral at n={n}")
 

@@ -48,10 +48,18 @@ from mpmath.libmp import to_fixed
 from . import mpcore
 from .errors import DomainError
 from .mpcore import _coerce_shift, _fixed_bits, _from_fixed
-from .precision import PrecisionBudget, as_budget, required_working_digits
+from .precision import PrecisionBudget, as_budget
 
-_DELTA_METHODS = ("binomial", "series")
-_D_METHODS = ("binomial", "moebius")
+# kind -> (smallest index, second route or None, label of the binomial route);
+# the second routes are the series rearrangement of delta and the Mobius sum of d
+KINDS = {
+    "b": (0, None, "binomial"),
+    "delta": (0, "series", "binomial"),
+    "A": (0, None, "binomial"),
+    "a": (1, None, "residue-adjusted"),
+    "d": (0, "moebius", "binomial"),
+    "c": (0, None, "binomial"),
+}
 
 
 @dataclass(frozen=True)
@@ -175,10 +183,9 @@ def _kernel(kind: str, ns, working: int, q=None) -> dict[int, mpf]:
         sums = _difference_table(xs, wanted)
     else:
         sums = {n: _binomial_dot(n, xs) for n in wanted}
-    if kind in ("delta", "A", "d"):
-        return {n: _from_fixed(s, bits, working) for n, s in sums.items()}
-    if kind == "c":
-        return {n: _from_fixed(-s, bits, working) for n, s in sums.items()}
+    if kind in ("delta", "A", "d", "c"):
+        sign = -1 if kind == "c" else 1
+        return {n: _from_fixed(sign * s, bits, working) for n, s in sums.items()}
 
     one = 1 << bits
     gamma = _to_fixed(mpcore.euler_gamma(working), bits)
@@ -237,6 +244,8 @@ def _rearranged(L: int, working: int, target: int, mobius: bool, head, coeffs) -
 def _rearranged_difference(n: int, budget: PrecisionBudget, mobius: bool) -> mpf:
     """delta_n (weights 1) or d_n (weights mu(l)) with L = max(2n, 32), where
     the tail terms shrink by at least 1/2 per step and end at j = n."""
+    if n < 2:
+        return mpf(0)
     return _rearranged(
         max(2 * n, 32), budget.working_digits, budget.target_digits, mobius,
         lambda ell: (1 - mpf(1) / ell) ** n - 1 + n * (mpf(1) / ell),
@@ -244,45 +253,51 @@ def _rearranged_difference(n: int, budget: PrecisionBudget, mobius: bool) -> mpf
     )
 
 
+def _evaluate(kind: str, ns, prec, shift=None, method: str = "binomial") -> list[SequencePoint]:
+    """Values of one sequence kind at every n in ns, all at the budget of max(ns).
+
+    The second route of a kind goes index by index; the binomial route is one
+    `_kernel` call for the whole list, so each value equals the single call
+    at that budget bit for bit.
+    """
+    if kind not in KINDS:
+        raise DomainError(f"unknown sequence kind {kind!r}")
+    if not ns:
+        raise DomainError("empty index list")
+    minimum, second, label = KINDS[kind]
+    for n in ns:
+        _check_index(n, minimum)
+    methods = ("binomial", second) if second else ("binomial",)
+    if method not in methods:
+        raise DomainError(f"{kind} method must be one of {methods}, got {method!r}")
+    q = _coerce_shift(shift) if kind in ("A", "a") else None
+    budget = as_budget(prec, kind, max(ns), k=q.k if q else 1, method=method)
+    if method == "binomial":
+        values = _kernel(kind, ns, budget.working_digits, q)
+    else:
+        label = method
+        values = {n: _rearranged_difference(n, budget, kind == "d") for n in ns}
+    return [SequencePoint(n, values[n], label, budget.target_digits) for n in ns]
+
+
 def delta(n: int, prec: PrecisionBudget | int = 15, method: str = "binomial") -> SequencePoint:
     """delta_n by the alternating binomial sum or the series rearrangement."""
-    n = _check_index(n)
-    if method not in _DELTA_METHODS:
-        raise DomainError(f"delta method must be one of {_DELTA_METHODS}, got {method!r}")
-    budget = as_budget(prec, "delta", n, method=method)
-    if method == "binomial":
-        value = _kernel("delta", [n], budget.working_digits)[n]
-    elif n < 2:
-        value = mpf(0)
-    else:
-        value = _rearranged_difference(n, budget, mobius=False)
-    return SequencePoint(n, value, method, budget.target_digits)
+    return _evaluate("delta", [n], prec, method=method)[0]
 
 
 def b(n: int, prec: PrecisionBudget | int = 15) -> SequencePoint:
     """Newton coefficient b_n of zeta(s) - 1/(s-1); b_0 = 1/2."""
-    n = _check_index(n)
-    budget = as_budget(prec, "b", n)
-    value = _kernel("b", [n], budget.working_digits)[n]
-    return SequencePoint(n, value, "binomial", budget.target_digits)
+    return _evaluate("b", [n], prec)[0]
 
 
 def A(n: int, shift, prec: PrecisionBudget | int = 15) -> SequencePoint:
     """Hurwitz difference A_n(m,k) = sum C(n,l)(-1)^l zeta(l, m/k)/k^l."""
-    n = _check_index(n)
-    q = _coerce_shift(shift)
-    budget = as_budget(prec, "A", n, k=q.k)
-    value = _kernel("A", [n], budget.working_digits, q)[n]
-    return SequencePoint(n, value, "binomial", budget.target_digits)
+    return _evaluate("A", [n], prec, shift)[0]
 
 
 def a(n: int, shift, prec: PrecisionBudget | int = 15) -> SequencePoint:
     """Exponentially small residue-adjusted part a_n(m,k); a_n(1,1) = b_n."""
-    n = _check_index(n, minimum=1)
-    q = _coerce_shift(shift)
-    budget = as_budget(prec, "a", n, k=q.k)
-    value = _kernel("a", [n], budget.working_digits, q)[n]
-    return SequencePoint(n, value, "residue-adjusted", budget.target_digits)
+    return _evaluate("a", [n], prec, shift)[0]
 
 
 def dirichlet_diff(chi: CharacterTable, n: int, prec: PrecisionBudget | int = 15) -> mpc:
@@ -291,15 +306,11 @@ def dirichlet_diff(chi: CharacterTable, n: int, prec: PrecisionBudget | int = 15
         raise DomainError("dirichlet_diff needs a CharacterTable")
     n = _check_index(n)
     budget = as_budget(prec, "A", n, k=chi.k)
-    w = budget.working_digits
-    with workdps(w):
+    with workdps(budget.working_digits):
         acc = mpc(0)
-        for m in range(1, chi.k + 1):
-            coeff = chi.values[m - 1]
-            if coeff == 0:
-                continue
-            part = A(n, (m, chi.k), PrecisionBudget(budget.target_digits, w, budget.guard_digits)).value
-            acc += mpc(coeff) * part
+        for m, coeff in enumerate(chi.values, 1):
+            if coeff != 0:
+                acc += mpc(coeff) * A(n, (m, chi.k), budget).value
         return +acc
 
 
@@ -343,25 +354,12 @@ def _mobius_tails(L: int, top: int, working: int) -> list:
 
 def d(n: int, prec: PrecisionBudget | int = 15, method: str = "binomial") -> SequencePoint:
     """Differences of inverse zeta values d_n (tends to 2)."""
-    n = _check_index(n)
-    if method not in _D_METHODS:
-        raise DomainError(f"d method must be one of {_D_METHODS}, got {method!r}")
-    budget = as_budget(prec, "d", n, method=method)
-    if method == "binomial":
-        value = _kernel("d", [n], budget.working_digits)[n]
-    elif n < 2:
-        value = mpf(0)
-    else:
-        value = _rearranged_difference(n, budget, mobius=True)
-    return SequencePoint(n, value, method, budget.target_digits)
+    return _evaluate("d", [n], prec, method=method)[0]
 
 
 def c(n: int, prec: PrecisionBudget | int = 15) -> SequencePoint:
     """c_n = -sum_{k=1..n} C(n,k)(-1)^k zeta(k+1)/(k+1) (~ H_n + gamma - 1)."""
-    n = _check_index(n)
-    budget = as_budget(prec, "c", n)
-    value = _kernel("c", [n], budget.working_digits)[n]
-    return SequencePoint(n, value, "binomial", budget.target_digits)
+    return _evaluate("c", [n], prec)[0]
 
 
 def D_of(x, prec: PrecisionBudget | int = 15) -> mpf:
@@ -386,10 +384,6 @@ def D_of(x, prec: PrecisionBudget | int = 15) -> mpf:
     )
 
 
-_METHODS = {"delta": _DELTA_METHODS, "d": _D_METHODS}
-_KINDS = ("delta", "b", "A", "a", "d", "c")
-
-
 def sequence_many(
     kind: str,
     ns: list[int],
@@ -405,32 +399,12 @@ def sequence_many(
     each input once (zeta values from `mpcore.zeta_int`, Hurwitz values
     from one fixed-point table) and run the exact kernel once for the whole
     batch; the rearranged routes (delta 'series', d 'moebius')
-    go index by index.  `threads` is accepted for compatibility and changes
+    go index by index.  The shift of A and a defaults to (1, 1) and the
+    method to 'binomial'.  `threads` is accepted for compatibility and changes
     nothing: the batch is integer arithmetic that threads cannot share under
     the interpreter lock, so it runs in the calling thread.
     """
-    if kind not in _KINDS:
-        raise DomainError(f"unknown sequence kind {kind!r}")
-    if not ns:
-        raise DomainError("empty index list")
-    allowed = _METHODS.get(kind, ("binomial",))
-    if method is not None and method not in allowed:
-        raise DomainError(f"{kind} method must be one of {allowed}, got {method!r}")
-    for n in ns:
-        _check_index(n, minimum=1 if kind == "a" else 0)
-    q = None
-    if kind in ("A", "a"):
-        q = _coerce_shift(shift if shift is not None else (1, 1))
-    n_max = max(ns)
-    working = required_working_digits(
-        kind, n_max, target_digits, k=q.k if q else 1, method=method
+    return _evaluate(
+        kind, ns, target_digits, (1, 1) if shift is None else shift,
+        "binomial" if method is None else method,
     )
-    budget = PrecisionBudget(target_digits, working)
-    if method == "series":
-        return [delta(n, budget, method) for n in ns]
-    if method == "moebius":
-        return [d(n, budget, method) for n in ns]
-
-    values = _kernel(kind, ns, working, q)
-    label = "residue-adjusted" if kind == "a" else "binomial"
-    return [SequencePoint(n, values[n], label, target_digits) for n in ns]

@@ -42,9 +42,6 @@ DEFAULT_GUARD_DIGITS = 20
 
 # sequence kinds whose binomial route alternates with C(n,k) weights
 _CANCELLING_KINDS = frozenset({"delta", "b", "A", "a", "d", "c"})
-# kinds whose value decays like e^(-2 sqrt(pi n / k)); the direct routes
-# assemble them from O(1) pieces, so the decayed scale costs digits
-_SMALL_KINDS = frozenset({"b", "a", "c"})
 
 
 @dataclass(frozen=True)
@@ -102,7 +99,11 @@ def cancellation_digits(n: int) -> int:
 
 
 def smallness_exponent(kind: str, n: int, k: int = 1) -> float:
-    """E(n) with |value| ~ e^(-E(n)); 0 for sequences with O(1) scale."""
+    """E(n) with |value| ~ e^(-E(n)); 0 for sequences with O(1) scale.
+
+    b, c and a decay like this, and their direct routes assemble them from
+    O(1) pieces, so the decayed scale costs working digits.
+    """
     if kind in ("b", "c"):
         return 2.0 * math.sqrt(math.pi * n)
     if kind == "a":
@@ -132,20 +133,7 @@ def required_working_digits(
     cancel = 0
     if kind in _CANCELLING_KINDS and method not in ("series", "moebius"):
         cancel = cancellation_digits(n)
-    small = smallness_digits(kind, n, k) if kind in _SMALL_KINDS else 0
-    return cancel + small + target_digits + guard_digits
-
-
-def sequence_budget(
-    kind: str,
-    n: int,
-    target_digits: int,
-    k: int = 1,
-    method: str | None = None,
-    guard_digits: int = DEFAULT_GUARD_DIGITS,
-) -> PrecisionBudget:
-    working = required_working_digits(kind, n, target_digits, k, method, guard_digits)
-    return PrecisionBudget(target_digits, working, guard_digits)
+    return cancel + smallness_digits(kind, n, k) + target_digits + guard_digits
 
 
 def as_budget(
@@ -167,7 +155,8 @@ def as_budget(
         )
         prec.require(need, what=f"{kind}(n={n})")
         return prec
-    return sequence_budget(kind, n, int(prec), k, method)
+    target = int(prec)
+    return PrecisionBudget(target, required_working_digits(kind, n, target, k, method))
 
 
 def _mpf_to_decimal_exact(x: mpf) -> Decimal:

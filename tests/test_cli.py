@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import re
 
 import pytest
 from mpmath import workdps
@@ -107,6 +108,36 @@ def test_newton_truncation_failure_exit_code(capsys):
     code, _, err = run(capsys, "newton", "--s", "0.5", "--n", "5", "--digits", "20")
     assert code == 1
     assert "computation failed" in err
+
+
+@pytest.mark.parametrize("s", ["abc", "inf", "-inf", "nan", "1+nani", ""])
+def test_newton_bad_point_is_usage_error(s, capsys):
+    code, _, err = run(capsys, "newton", f"--s={s}", "--n", "10")
+    assert code == 2
+    assert "usage error" in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag, named",
+    [
+        (["newton", "--s", "0.5", "--n", "5", "--digits", "20"], "--n", r"N=(\d+) would suffice"),
+        (["contour", "right", "--n", "6", "--digits", "10", "--quad-T", "50"], "--quad-T",
+         r"T=(\d+) would suffice"),
+    ],
+)
+def test_failure_names_a_sufficient_value(argv, flag, named, capsys):
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert "computation failed" in err
+    found = re.search(named, err)
+    assert found, err
+    if flag == "--n":
+        assert found.group(1) == "135"
+    retry = list(argv)
+    retry[retry.index(flag) + 1] = found.group(1)
+    code, out, _ = run(capsys, *retry)
+    assert code == 0
+    assert out
 
 
 def test_newton_value(capsys):

@@ -25,6 +25,8 @@ def test_contour_spec_validation():
     with pytest.raises(DomainError):
         ContourSpec(T=-3.0)
     with pytest.raises(DomainError):
+        ContourSpec(T=float("inf"))  # the panel grid would never reach it
+    with pytest.raises(DomainError):
         ContourSpec(panels=0)
     with pytest.raises(DomainError):
         ContourSpec(degree=1)
