@@ -26,9 +26,11 @@ Quadrature is composite Gauss-Legendre with cached nodes, panels graded
 geometrically from the start of each interval (the integrands peak at the
 start and decay fast), pairwise summation of panel contributions, and an
 embedded error estimate: each panel's rule against one of half its degree.
-On the left line, panels above t = 16 whose proven float64 rounding bound
-fits their share of the tolerance are evaluated in float64 (see
-`_left_line_float`); the bounds join the error estimate.  Truncation
+Every integral has a float64 tier with a proven error bound (the three Rice
+lines and both saddle pieces; see `floattier`): a panel whose bound fits its
+share of the tolerance is evaluated in float64, and the bounds join the
+error estimate.  The rest, mostly the head of each contour where the
+integrand is largest, stays on mpmath.  Truncation
 heights come from explicit tail bounds; a user-supplied height that cannot
 meet the tolerance, or a quadrature that runs out of its panel budget,
 raises TruncationBoundError rather than returning a silently wrong value.
@@ -36,10 +38,8 @@ raises TruncationBoundError rather than returning a silently wrong value.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import heapq
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -50,6 +50,14 @@ from . import mpcore
 from .asymptotics import envelope_bound
 from .differences import _binomial_sum
 from .errors import DomainError, TruncationBoundError
+from .floattier import (
+    _FLOAT_T_MIN,
+    _float_panels,
+    _left_line_float,
+    _ray_float,
+    _rice_line_float,
+    _slant_float,
+)
 from .precision import as_budget, digits
 
 SQRT_PI = math.sqrt(math.pi)
@@ -104,18 +112,22 @@ class QuadratureResult:
     pieces: tuple
 
 
-# cached Gauss-Legendre rules keyed by degree; recomputed if the cached
-# precision is below the requested one
-_GL_CACHE: dict = {}
+# every oracle works at most _MAX_TARGET + 28 digits (zeta-left at n = 100:
+# 30 target, 16 cancellation and 12 guard digits), so one build per degree at
+# that precision serves them all
+_GL_WORKING = _MAX_TARGET + 28
 
 
 def legendre_rule(degree: int, working: int):
-    """Nodes and weights of degree-point Gauss-Legendre on [-1, 1]."""
+    """Nodes and weights of degree-point Gauss-Legendre on [-1, 1], accurate to
+    at least `working` digits."""
     if degree < 2:
         raise DomainError(f"need degree >= 2, got {degree}")
-    cached = _GL_CACHE.get(degree)
-    if cached is not None and cached[0] >= working:
-        return cached[1]
+    return _legendre_nodes(degree, max(working, _GL_WORKING))
+
+
+@functools.lru_cache(maxsize=None)
+def _legendre_nodes(degree: int, working: int):
     dps = working + 10
     with workdps(dps):
         nodes = []
@@ -137,8 +149,7 @@ def legendre_rule(degree: int, working: int):
             dp = degree * (x * p1 - p0) / (x * x - 1)
             w = 2 / ((1 - x * x) * dp * dp)
             nodes.append((+x, +w))
-    _GL_CACHE[degree] = (working, tuple(nodes))
-    return _GL_CACHE[degree][1]
+    return tuple(nodes)
 
 
 def _pairwise_sum(values: list):
@@ -265,171 +276,6 @@ def _gl_capacity(degree: int) -> float:
     return 0.7 * 2 * degree * 10 ** (-14.0 / (2 * degree))
 
 
-# -- float64 tier of the left line --------------------------------------------
-#
-# Far up the left line the integrand lies many orders below the tolerance, yet
-# one mpmath zeta(1-s) there costs ~0.1 s (t ~ 6000, 36 digits).  A panel is
-# evaluated in float64 instead when the proven bound on its rounding error fits
-# its share of the tolerance; the bound is added to the error estimate.
-
-_U = 2.0**-53  # unit roundoff of IEEE double
-_LN_2PI = math.log(2 * math.pi)
-_FLOAT_T_MIN = 16.0  # 10 Stirling terms reach 1e-21 there
-_STIRLING_TERMS = 10
-_EM_TERMS = 60
-
-
-@functools.lru_cache(maxsize=None)
-def _bernoulli_floats():
-    """(B_2j (2 pi)^2j / (2j)!,  B_2j / (2j (2j-1))) for j = 1.._EM_TERMS."""
-    with workdps(30):
-        return tuple(
-            (
-                float(mpmath.bernoulli(2 * j) * (2 * mpmath.pi) ** (2 * j) / mpmath.factorial(2 * j)),
-                float(mpmath.bernoulli(2 * j) / (2 * j * (2 * j - 1))),
-            )
-            for j in range(1, _EM_TERMS + 1)
-        )
-
-
-@functools.lru_cache(maxsize=32)
-def _dirichlet_terms(sigma: float, size: int):
-    """k^-sigma and ln k for k = 1..size, and the running sums of k^-sigma
-    and k^-sigma ln k (index m holds the sum over k <= m)."""
-    amps = tuple(k**-sigma for k in range(1, size + 1))
-    logs = tuple(math.log(k) for k in range(1, size + 1))
-    sum_a = tuple(itertools.accumulate(amps, initial=0.0))
-    sum_al = tuple(itertools.accumulate((a * lk for a, lk in zip(amps, logs)), initial=0.0))
-    return amps, logs, sum_a, sum_al
-
-
-def _left_line_float(t: float, sigma: float, n: int, ln_fact: float) -> tuple[float, float]:
-    """(Re[zeta(s) K_n(s)] at s = 1 - sigma + i t in float64, bound on its error).
-
-    zeta(s) = chi(s) zeta(w) with w = 1 - s = sigma - i t:
-
-    * zeta(w) by Euler-Maclaurin with N ~ |w|/pi terms; its remainder after
-      M corrections is at most 4 |(w)_2M| / (2 pi N)^2M N^(1-sigma) /
-      (sigma+2M-1) (Johansson 2014, Thm 1).
-    * log chi(s) = (s-1) ln 2pi - i pi (s-1)/2 + log(1 - e^(i pi s))
-      + log Gamma(w), from sin(pi s/2) = (i/2) e^(-i pi s/2) (1 - e^(i pi s));
-      Stirling's series for log Gamma(w) stops after J terms with remainder
-      at most the next term times sec^(2J+2)(arg(w)/2) <= 2^(J+1) (DLMF 5.11.ii).
-    * log K_n(s) = ln n! - sum_j log(s - j).
-
-    The bound charges every float operation one unit roundoff per operand
-    magnitude, with margin: the phase t ln k of each k^(it) (including the
-    rounding of t itself), the summation of the N head terms, the products
-    behind each correction term and the large terms of log chi.
-    """
-    u = _U
-    s = complex(1.0 - sigma, t)
-    w = complex(sigma, -t)
-    # zeta(w): head, tail and corrections
-    big_n = int(abs(w) / math.pi) + 8
-    # tables come in power-of-two sizes, so a handful serve the whole line
-    amps, logs, sum_a, sum_al = _dirichlet_terms(sigma, 1 << (big_n - 1).bit_length())
-    cos, sin = math.cos, math.sin
-    re = im = 0.0
-    for a, lk in itertools.islice(zip(amps, logs), big_n - 1):
-        ph = t * lk
-        re += a * cos(ph)
-        im += a * sin(ph)
-    head = complex(re, im)
-    err_head = 2 * u * (6 * t * sum_al[big_n - 1] + (big_n + 4) * sum_a[big_n - 1])
-    ln_n = math.log(big_n)
-    a_n = big_n**-sigma
-    n_w = a_n * complex(cos(t * ln_n), sin(t * ln_n))  # N^-w
-    n_w1 = big_n * n_w  # N^(1-w)
-    eps_n = u * (6 * t * ln_n + 4)
-    tail = n_w1 / (w - 1) + n_w / 2
-    err_tail = a_n * (big_n / abs(w - 1) * (eps_n + 4 * u) + (eps_n + u) / 2)
-    two_pi_n = 2 * math.pi * big_n
-    c0 = n_w1 / two_pi_n
-    q = w / two_pi_n  # (w)_(2j-1) / (2 pi N)^(2j-1)
-    corr = 0j
-    corr_abs = corr_weighted = 0.0
-    rem = 0.0
-    coeffs = _bernoulli_floats()
-    for j, (bt, _) in enumerate(coeffs, start=1):
-        term = bt * q * c0
-        corr += term
-        corr_abs += abs(term)
-        corr_weighted += j * abs(term)
-        rem = 4 * abs(q) * abs(w + (2 * j - 1)) / two_pi_n * a_n * big_n / (sigma + 2 * j - 1)
-        if rem < 1e-4 * u:
-            break
-        q *= (w + (2 * j - 1)) * (w + 2 * j) / (two_pi_n * two_pi_n)
-    err_corr = 8 * u * (corr_weighted + corr_abs) + (eps_n + len(coeffs) * u) * corr_abs
-    zeta_w = head + tail + corr
-    err_zeta = err_head + err_tail + err_corr + rem + 2 * u * (abs(head) + abs(tail) + corr_abs)
-
-    # log chi(s) + log K_n(s)
-    log_w = cmath.log(w)
-    inv_w = 1 / w
-    inv_w2 = inv_w * inv_w
-    p = inv_w
-    stirling = (w - 0.5) * log_w - w + 0.5 * _LN_2PI
-    stirling_abs = 0.0
-    for _, sc in coeffs[:_STIRLING_TERMS]:
-        stirling += sc * p
-        stirling_abs += abs(sc * p)
-        p *= inv_w2
-    rem_gamma = abs(coeffs[_STIRLING_TERMS][1]) * abs(p) * 2.0 ** (_STIRLING_TERMS + 1)
-    log_k = [cmath.log(s - j) for j in range(n + 1)]
-    big_l = (
-        (s - 1) * _LN_2PI
-        - 0.5j * math.pi * (s - 1)
-        + cmath.log(1 - cmath.exp(complex(-math.pi * t, math.pi * (1.0 - sigma))))
-        + stirling
-        + ln_fact
-        - math.fsum(z.real for z in log_k)
-        - 1j * math.fsum(z.imag for z in log_k)
-    )
-    err_l = (
-        8 * u * (abs(s - 1) * (_LN_2PI + math.pi / 2) + abs(w - 0.5) * abs(log_w) + abs(w) + 2)
-        + 8 * u * stirling_abs
-        + rem_gamma
-        + (n + 8) * u * (ln_fact + sum(abs(z) for z in log_k))
-    )
-    value = cmath.exp(big_l) * zeta_w
-    mag = math.exp(big_l.real)
-    err = 1.25 * mag * (abs(zeta_w) * (err_l + 4 * u) + err_zeta) * (1 + 2 * err_l)
-    return value.real, err
-
-
-def _left_line_fast(n: int, c, T, tol_abs, rule_hi, rule_lo):
-    """Panel evaluator for `_adaptive_quad` on the left line: the float64 tier,
-    taken when the panel [a, b] lies above _FLOAT_T_MIN and its rounding bound
-    is within tol_abs (b - a) / T, so the bounds of all panels sum to at most
-    tol_abs."""
-    sigma = 1.0 - float(c)
-    ln_fact = math.lgamma(n + 1)
-    rules = [[(float(x), float(wt)) for x, wt in rule] for rule in (rule_hi, rule_lo)]
-    per_length = float(tol_abs) / float(T)
-
-    def panel_sum(rule, mid, half):
-        acc = acc_abs = acc_err = 0.0
-        for x, wt in rule:
-            v, e = _left_line_float(mid + half * x, sigma, n, ln_fact)
-            acc += wt * v
-            acc_abs += wt * abs(v)
-            acc_err += wt * e
-        return half * acc, half * (acc_err + (len(rule) + 4) * _U * acc_abs)
-
-    def fast(a, b):
-        if a < _FLOAT_T_MIN:
-            return None
-        mid, half = float((a + b) / 2), float((b - a) / 2)
-        fine, bound = panel_sum(rules[0], mid, half)
-        if not bound <= per_length * 2 * half:
-            return None
-        coarse, _ = panel_sum(rules[1], mid, half)
-        return mpf(fine), mpf(coarse), mpf(bound)
-
-    return fast
-
-
 def rice_sum_residues(phi, n0: int, n: int, prec=15):
     """Finite alternating binomial sum  sum_{k=n0}^{n} C(n,k) (-1)^k phi(k).
 
@@ -480,19 +326,25 @@ def _line_freq(n: int, chi_phase: bool, ln_amp0: float, amp_slope: float, tol: f
 
 
 def _line_data(kind: str, n: int, working: int):
-    """Integrand f(t), tail bound, result scale, abscissa, frequency model.
+    """Integrand f(t), its float64 tier g(t, dt) and the lowest height that
+    tier serves, tail bound, result scale, frequency model.
 
     The right and inverse lines sit at Re s = 3/2, the left line at -1/2.
     """
     with workdps(working):
         ln_fact = mpmath.loggamma(n + 1)
+        ln_fact_f = float(ln_fact)
         c = mpf("-0.5") if kind == "zeta-left" else mpf("1.5")
+        t_min = -math.inf
         if kind == "zeta-right":
             zc = mpmath.zeta(c)
 
             def f(t):
                 s = c + mpc(0, 1) * t
                 return (mpmath.zeta(s) * _rice_kernel(s, n, ln_fact)).real
+
+            def g(t, dt):
+                return _rice_line_float(t, dt, n, ln_fact_f, False)
 
             def tail(T):
                 return zc * mpmath.exp(ln_fact - n * mpmath.ln(T)) / n
@@ -509,6 +361,9 @@ def _line_data(kind: str, n: int, working: int):
                 s = c + mpc(0, 1) * t
                 return (_rice_kernel(s, n, ln_fact) / mpmath.zeta(s)).real
 
+            def g(t, dt):
+                return _rice_line_float(t, dt, n, ln_fact_f, True)
+
             def tail(T):
                 return bound * mpmath.exp(ln_fact - n * mpmath.ln(T)) / n
 
@@ -521,6 +376,12 @@ def _line_data(kind: str, n: int, working: int):
             def f(t):
                 s = c + mpc(0, 1) * t
                 return (mpcore.zeta_cx(s) * _rice_kernel(s, n, ln_fact)).real
+
+            lg_fact = math.lgamma(n + 1)
+            t_min = _FLOAT_T_MIN
+
+            def g(t, dt):
+                return _left_line_float(t, 1.5, n, lg_fact)
 
             # |zeta(-1/2+it)| <= zeta(3/2) sqrt(1/4+t^2) / (2 pi): the
             # reflection factor has |chi(-1/2+it)| = sqrt(1/4+t^2)/(2 pi)
@@ -539,7 +400,7 @@ def _line_data(kind: str, n: int, working: int):
             def freq_for(tol: float):
                 return _line_freq(n, True, float(mpmath.ln(amp)), 1.0, tol)
 
-        return f, tail, +scale, c, freq_for
+        return f, g, t_min, tail, +scale, freq_for
 
 
 def _choose_height(tail, tol_abs, T_given, what: str, T_start=4):
@@ -599,7 +460,7 @@ def rice_integral(kind: str, n: int, prec=15, spec: ContourSpec | None = None) -
     working = target + cancel + 12
 
     with workdps(working):
-        f, tail, scale, c, freq_for = _line_data(kind, n, working)
+        f, g, t_min, tail, scale, freq_for = _line_data(kind, n, working)
         tol_abs = mpf(10) ** (-(target + 1)) * scale
         T, bound = _choose_height(tail, tol_abs, spec.T, f"{kind} line integral at n={n}")
 
@@ -623,9 +484,7 @@ def rice_integral(kind: str, n: int, prec=15, spec: ContourSpec | None = None) -
                 float(t_head), float(T), freq_for(float(tol_abs)), _gl_capacity(degree)
             )
             boundaries = head + osc[1:]
-        fast = None
-        if kind == "zeta-left":
-            fast = _left_line_fast(n, c, T, tol_abs / 4, rule_hi, rule_lo)
+        fast = _float_panels(g, T, tol_abs / 4, rule_hi, rule_lo, t_min)
         integral, quad_err = _adaptive_quad(f, boundaries, rule_hi, rule_lo, tol_abs / 2, fast=fast)
 
         sign = 1 if n % 2 else -1
@@ -710,26 +569,32 @@ def saddle_contour_integral(n: int, prec=15, spec: ContourSpec | None = None) ->
         rule_hi, rule_lo = _embedded_rules(spec.degree, working)
         base = spec.panels if spec.panels is not None else 12
 
+        ln_fact_f = float(ln_fact)
+        xl = float(x_left)
+
         slant_bounds = _uniform_boundaries(0, u_end, base)
         slant, err_s = _adaptive_quad(
-            lambda u: F(x_cross + u * e_dir) * e_dir, slant_bounds, rule_hi, rule_lo, tol_abs / 4
+            lambda u: F(x_cross + u * e_dir) * e_dir, slant_bounds, rule_hi, rule_lo, tol_abs / 4,
+            fast=_float_panels(
+                _slant_float(float(x_cross), complex(e_dir), n, ln_fact_f), u_end, tol_abs / 8, rule_hi, rule_lo
+            ),
         )
 
         if spec.panels is not None:
             vert_bounds = _graded_boundaries(h_end, T, max(8, base // 2 + 4))
         else:
-            x_f = float(x_left)
             n_f = float(n)
 
             def vert_freq(t: float) -> float:
-                r = math.hypot(x_f, max(t, 1e-6))
+                r = math.hypot(xl, max(t, 1e-6))
                 return abs(math.log(r / (2 * math.pi))) + (n_f + 2) / max(t, 1e-6) + 0.1
 
             vert_bounds = _osc_boundaries(
                 float(h_end), float(T), vert_freq, _gl_capacity(spec.degree)
             )
         vert, err_v = _adaptive_quad(
-            lambda t: F(x_left + mpc(0, 1) * t) * mpc(0, 1), vert_bounds, rule_hi, rule_lo, tol_abs / 4
+            lambda t: F(x_left + mpc(0, 1) * t) * mpc(0, 1), vert_bounds, rule_hi, rule_lo, tol_abs / 4,
+            fast=_float_panels(_ray_float(xl, n, ln_fact_f), T - h_end, tol_abs / 8, rule_hi, rule_lo),
         )
 
         total = slant + vert

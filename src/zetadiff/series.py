@@ -92,6 +92,29 @@ class TruncatedSeries:
     __rmul__ = __mul__
 
 
+def _refuse_growing_tail(s, N: int) -> None:
+    """Refuse at once a point whose tail terms keep growing past the scan cap.
+
+    The tail scan needs a ratio below 0.99 between consecutive tail terms.
+    That ratio is |s - n|/(n + 1) times the envelope ratio B(n+1)/B(n) >=
+    exp(-sqrt(pi/n)), so for n > N it is at least (|s| - n) c/(n + 1) with
+    c = exp(-sqrt(pi/(N+1))), which stays >= 1 for n <= n0 = (c|s| - 1)/(1 + c).
+    """
+    with workdps(30):
+        c = mpmath.exp(-mpmath.sqrt(mpmath.pi / (N + 1)))
+        n0 = mpmath.floor((c * abs(s) - 1) / (1 + c))
+        if n0 <= N + _TAIL_SCAN_CAP:
+            return
+        # three significant digits, rounded down so the named N stays a lower bound
+        shown = mpf(mpmath.nstr(n0, 3))
+        if shown > n0:
+            shown -= mpf(10) ** (int(mpmath.floor(mpmath.log10(shown))) - 2)
+        raise TruncationBoundError(
+            f"tail terms at s={mpmath.nstr(s, 8)} keep growing up to n={mpmath.nstr(shown, 3)}, beyond "
+            f"the scan cap of {_TAIL_SCAN_CAP} indices; N >= {mpmath.nstr(shown, 3)} would be needed"
+        )
+
+
 def newton_eval(s, N: int, prec: PrecisionBudget | int = 15):
     """Partial Newton sum of order N at complex s with a tail certificate.
 
@@ -112,6 +135,7 @@ def newton_eval(s, N: int, prec: PrecisionBudget | int = 15):
     s = mpmath.mpmathify(s)
     if isinstance(s, mpmath.mpc) and s.imag == 0:
         s = s.real
+    _refuse_growing_tail(s, N)
 
     points = differences.sequence_many("b", list(range(N + 1)), target_digits=working)
     with workdps(working):

@@ -140,6 +140,13 @@ def test_failure_names_a_sufficient_value(argv, flag, named, capsys):
     assert out
 
 
+@pytest.mark.parametrize("s", ["1e30", "-1e30", "1e10i"])
+def test_newton_huge_point_fails_naming_n(s, capsys):
+    code, _, err = run(capsys, "newton", f"--s={s}", "--n", "50")
+    assert code == 1
+    assert re.search(r"computation failed: .* N >= \S+ would be needed", err)
+
+
 def test_newton_value(capsys):
     code, out, _ = run(capsys, "newton", "--s", "-1", "--n", "400", "--digits", "20")
     assert code == 0

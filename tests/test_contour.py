@@ -4,9 +4,10 @@ import math
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mpc, mpf, workdps
 
-from zetadiff import contour, differences, mpcore
+from zetadiff import contour, differences, floattier, mpcore
 from zetadiff.contour import ContourSpec
 from zetadiff.errors import DomainError, TruncationBoundError
 
@@ -97,6 +98,104 @@ def test_left_line_float_tier_bound_covers_error(n, c):
             want = (mpcore.zeta_cx(s, 40) * contour._rice_kernel(s, n, mpmath.loggamma(n + 1))).real
             assert abs(mpf(got) - want) <= bound
             assert bound < mpf("1e-9") * abs(want)
+
+
+# (t, sigma, n) -> (value, bound) as float.hex, recorded before the float
+# evaluators were lifted out of _left_line_float
+_LEFT_LINE_BITS = {
+    (16.0, 1.5, 5): ("-0x1.253dc62bd3c31p-16", "0x1.2b96d601acb7bp-58"),
+    (100.7, 1.5, 5): ("0x1.9a3c1649de083p-31", "0x1.d4bb3b73d51e6p-69"),
+    (2500.5, 1.5, 20): ("-0x1.85ccbf9765e38p-168", "0x1.6ac02b5651e01p-202"),
+    (123.456, 1.3, 20): ("-0x1.5d64f2d78aff8p-84", "0x1.6b7f9a664bc0ap-121"),
+    (6000.25, 1.5, 10): ("-0x1.a87321c16df79p-107", "0x1.429b25125e1b0p-139"),
+    (31.75, 1.5, 100): ("-0x1.f33a463bbe2e9p-66", "0x1.c70a781a630b8p-102"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_LEFT_LINE_BITS))
+def test_left_line_float_bits_are_pinned(key):
+    t, sigma, n = key
+    value, bound = floattier._left_line_float(t, sigma, n, math.lgamma(n + 1))
+    assert (value.hex(), bound.hex()) == _LEFT_LINE_BITS[key]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    sigma=st.floats(min_value=1.1, max_value=20.0),
+    t=st.floats(min_value=-3000.0, max_value=3000.0),
+    fixed_sigma=st.booleans(),
+)
+def test_zeta_float_bound_covers_error(sigma, t, fixed_sigma):
+    got, bound = floattier._zeta_float(complex(sigma, t), fixed_sigma)
+    with workdps(40):
+        want = mpmath.zeta(mpc(sigma, t))
+        assert abs(mpc(got) - want) <= bound
+        assert bound < mpf("1e-8") * max(1, abs(want))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    x=st.floats(min_value=0.5, max_value=60.0),
+    y=st.floats(min_value=-3000.0, max_value=3000.0),
+)
+def test_loggamma_float_bound_covers_error(x, y):
+    got, bound = floattier._loggamma_float(complex(x, y))
+    with workdps(40):
+        want = mpmath.loggamma(mpc(x, y))
+        assert abs(mpc(got) - want) <= bound
+        assert bound < mpf("1e-11") * max(1, abs(want))
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+@pytest.mark.parametrize("n", [5, 20])
+def test_rice_line_float_tier_bound_covers_error(n, inverse):
+    ln_fact = float(mpmath.loggamma(n + 1))
+    for t in (0.25, 3.7, 16.0, 100.7, 2500.5):
+        got, bound = floattier._rice_line_float(t, 0.0, n, ln_fact, inverse)
+        with workdps(40):
+            s = mpf("1.5") + mpc(0, 1) * mpf(t)
+            phi = 1 / mpmath.zeta(s) if inverse else mpmath.zeta(s)
+            want = (phi * contour._rice_kernel(s, n, mpmath.loggamma(n + 1))).real
+            assert abs(mpf(got) - want) <= bound
+            assert bound < mpf("1e-10") * abs(contour._rice_kernel(s, n, mpmath.loggamma(n + 1)))
+
+
+@pytest.mark.parametrize("n", [10, 50])
+def test_saddle_float_tier_bound_covers_error(n):
+    ln_fact = float(mpmath.loggamma(n + 1))
+    x_left, x_cross = math.sqrt(n), math.sqrt(2 * math.pi * n)
+    e_dir = complex(math.cos(5 * math.pi / 8), math.sin(5 * math.pi / 8))
+    points = [complex(x_left, t) for t in (8.0, 40.5, 700.25)]
+    points += [x_cross + u * e_dir for u in (0.0, 0.3, 2.0, 11.0)]
+    with workdps(40):
+        F = contour._saddle_integrand(n, mpmath.loggamma(n + 1))
+        for s in points:
+            got, bound = floattier._saddle_float(s, 0.0, n, ln_fact, s.real == x_left)
+            want = F(mpc(s))
+            assert abs(mpc(got) - want) <= bound
+            assert bound < mpf("1e-10") * abs(want)
+    # sin(pi s/2) vanishes at s = 4: no bound there
+    assert floattier._saddle_float(complex(4.0, 0.0), 0.0, n, ln_fact, False) is None
+
+
+@pytest.mark.parametrize(
+    "oracle, exact",
+    [
+        (("zeta-right", 6, 10), differences.delta),
+        (("zeta-right", 20, 12), differences.delta),
+        (("zeta-left", 20, 10), differences.b),
+        (("inv-zeta", 10, 12), differences.d),
+        ((50, 8), differences.b),
+    ],
+)
+def test_benchmark_oracles_within_their_error_estimate(oracle, exact):
+    if len(oracle) == 3:
+        res, n = contour.rice_integral(*oracle), oracle[1]
+    else:
+        res, n = contour.saddle_contour_integral(*oracle), oracle[0]
+    want = exact(n, 40).value
+    with workdps(40):
+        assert abs(res.value - want) <= res.error_estimate
 
 
 def test_rice_left_line_long():

@@ -73,6 +73,21 @@ def test_newton_truncation_reports_needed_order():
     assert "would suffice" in str(err.value)
 
 
+@pytest.mark.parametrize("s", [mpf("1e30"), mpf("-1e30"), mpc(0, "1e10")])
+def test_newton_huge_point_refused_before_the_scan(s, monkeypatch):
+    # the tail terms keep growing until at least n ~ 0.44 |s|, far past the
+    # scan cap, so the point is refused before any b_n is computed, naming
+    # the N it needs
+    def no_table(*args, **kwargs):
+        raise AssertionError("b_n computed for a point that was bound to fail")
+
+    monkeypatch.setattr(differences, "sequence_many", no_table)
+    with pytest.raises(TruncationBoundError, match=r"N >= (\S+) would be needed") as err:
+        series.newton_eval(s, 50, 15)
+    needed = float(err.value.args[0].split("N >= ")[1].split()[0])
+    assert series._TAIL_SCAN_CAP < needed < float(abs(s))
+
+
 def test_newton_domain():
     with pytest.raises(DomainError):
         series.newton_eval(2, 0)
