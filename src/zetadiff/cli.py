@@ -18,7 +18,9 @@ Exit status: 0 success, 1 verification/computation failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -103,6 +105,20 @@ def _parse_complex(text: str):
     if not mpmath.isfinite(s):
         raise DomainError(f"evaluation point must be finite, got {text!r}")
     return s
+
+
+def _check_out(path: str) -> None:
+    """Refuse an --out path that cannot be written, before anything is computed."""
+    folder = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        problem = "it is a directory"
+    elif not os.path.isdir(folder):
+        problem = f"no directory {folder}"
+    elif not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        problem = "permission denied"
+    else:
+        return
+    raise DomainError(f"cannot write --out {path}: {problem}")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -312,23 +328,16 @@ def cmd_zero_model(config: RunConfig):
 
 def cmd_contour(config: RunConfig, token: str):
     """One contour-oracle evaluation as report lines."""
-    spec = None
     if token == "saddle":
-        if config.quad_T is not None or config.quad_panels is not None:
-            spec = ContourSpec(kind="fig1-saddle", T=config.quad_T, panels=config.quad_panels)
-        results = [
-            (n, contour.saddle_contour_integral(n, config.compute_digits, spec))
-            for n in config.ns
-        ]
+        kind, oracle = "fig1-saddle", contour.saddle_contour_integral
     elif token in _CONTOUR_KINDS:
-        if config.quad_T is not None or config.quad_panels is not None:
-            spec = ContourSpec(kind="vertical", T=config.quad_T, panels=config.quad_panels)
-        results = [
-            (n, contour.rice_integral(_CONTOUR_KINDS[token], n, config.compute_digits, spec))
-            for n in config.ns
-        ]
+        kind, oracle = "vertical", functools.partial(contour.rice_integral, _CONTOUR_KINDS[token])
     else:
         raise DomainError(f"unknown contour kind {token!r}")
+    spec = None  # without quadrature options each oracle picks its own geometry
+    if config.quad_T is not None or config.quad_panels is not None:
+        spec = ContourSpec(kind=kind, T=config.quad_T, panels=config.quad_panels)
+    results = [(n, oracle(n, config.compute_digits, spec)) for n in config.ns]
     lines = []
     fields = []
     for n, res in results:
@@ -605,8 +614,11 @@ _COMMANDS = {
 
 def _dispatch(args) -> int:
     handler, columns = _COMMANDS[args.command]
+    out = getattr(args, "out", None)
+    if out:
+        _check_out(out)
     body, extra, code = handler(args)
-    _emit(_render(body, extra, columns, getattr(args, "fmt", "csv")), getattr(args, "out", None))
+    _emit(_render(body, extra, columns, getattr(args, "fmt", "csv")), out)
     return code
 
 

@@ -26,14 +26,16 @@ Quadrature is composite Gauss-Legendre with cached nodes, panels graded
 geometrically from the start of each interval (the integrands peak at the
 start and decay fast), pairwise summation of panel contributions, and an
 embedded error estimate: each panel's rule against one of half its degree.
-Every integral has a float64 tier with a proven error bound (the three Rice
-lines and both saddle pieces; see `floattier`): a panel whose bound fits its
-share of the tolerance is evaluated in float64, and the bounds join the
-error estimate.  The rest, mostly the head of each contour where the
-integrand is largest, stays on mpmath.  Truncation
-heights come from explicit tail bounds; a user-supplied height that cannot
-meet the tolerance, or a quadrature that runs out of its panel budget,
-raises TruncationBoundError rather than returning a silently wrong value.
+Every integral (the three Rice lines and both saddle pieces) also has a
+float64 integrand with a proven error bound, from `floattier`.  One driver,
+`_adaptive_quad`, picks the tier of each panel: float64 when the integrand
+is bounded at every node and the panel's bound fits its share of half the
+tolerance, with the bound joining the error estimate; mpmath otherwise,
+which is mostly the head of each contour where the integrand is largest.
+Truncation heights come from explicit tail bounds; a user-supplied height
+that cannot meet the tolerance, or a quadrature that runs out of its panel
+budget, raises TruncationBoundError rather than returning a silently wrong
+value.
 """
 
 from __future__ import annotations
@@ -50,14 +52,7 @@ from . import mpcore
 from .asymptotics import envelope_bound
 from .differences import _binomial_sum
 from .errors import DomainError, TruncationBoundError
-from .floattier import (
-    _FLOAT_T_MIN,
-    _float_panels,
-    _left_line_float,
-    _ray_float,
-    _rice_line_float,
-    _slant_float,
-)
+from .floattier import _U, _left_line_float, _ray_float, _rice_line_float, _slant_float
 from .precision import as_budget, digits
 
 SQRT_PI = math.sqrt(math.pi)
@@ -191,30 +186,60 @@ def _embedded_rules(degree: int, working: int):
     return legendre_rule(degree, working), legendre_rule(max(2, degree // 2), working)
 
 
-def _panel_record(f, a, b, rule_hi, rule_lo, fast=None):
-    """(value, error delta, rounding bound) for one panel from an embedded
-    degree pair.  `fast(a, b)` may supply both rule sums and a proven bound
-    on their rounding error; when it returns None, `f` is evaluated."""
-    got = fast(a, b) if fast is not None else None
-    if got is None:
-        fine = _gl_panel(f, a, b, rule_hi)
-        coarse = _gl_panel(f, a, b, rule_lo)
-        return fine, abs(fine - coarse), mpf(0)
-    fine, coarse, bound = got
-    return fine, abs(fine - coarse), bound
+def _float_panel(g, rule, mid, half):
+    """Float64 sum of the rule over [mid - half, mid + half] for the float
+    integrand g, and a proven bound on its error; None where g gives no
+    bound at some node."""
+    # the node mid + half x is within u (|mid| + 3 |half| + |t|) of exact
+    node_err = 1.01 * _U * (abs(mid) + 3 * abs(half))
+    acc = acc_abs = acc_err = 0.0
+    for x, wt in rule:
+        t = mid + half * x
+        got = g(t, node_err + 1.01 * _U * abs(t))
+        if got is None:
+            return None
+        v, e = got
+        acc += wt * v
+        acc_abs += wt * abs(v)
+        acc_err += wt * e
+    return half * acc, half * (acc_err + (len(rule) + 4) * _U * acc_abs)
 
 
-def _adaptive_quad(f, boundaries, rule_hi, rule_lo, tol_abs, max_panels=3000, fast=None):
+def _adaptive_quad(f, boundaries, rule_hi, rule_lo, tol_abs, max_panels=3000, g=None):
     """Composite GL with worst-first bisection until the summed embedded
     deltas drop below tol_abs.  Running out of the `max_panels` budget
-    first raises TruncationBoundError.  The returned error estimate
-    includes the rounding bounds of panels that `fast` evaluated."""
+    first raises TruncationBoundError.
+
+    `g(t, dt) -> (value, bound) | None` is the integrand's float64 tier,
+    where dt bounds the rounding of the float node t.  A panel [a, b] is
+    evaluated in float64 when g bounds every node and the panel's bound is
+    within (tol_abs/2) (b - a) / (boundaries[-1] - boundaries[0]), so the
+    bounds of all accepted panels sum to at most tol_abs/2; otherwise f is
+    evaluated.  The returned error estimate includes the accepted bounds.
+    """
+    if g is not None:
+        float_rules = [[(float(x), float(wt)) for x, wt in rule] for rule in (rule_hi, rule_lo)]
+        share = float(tol_abs / 2) / float(boundaries[-1] - boundaries[0])
+
+    def record(a, b):
+        """(value, error delta, rounding bound) of the panel [a, b]."""
+        if g is not None:
+            mid, half = float((a + b) / 2), float((b - a) / 2)
+            fine = _float_panel(g, float_rules[0], mid, half)
+            if fine is not None and fine[1] <= share * 2 * half:
+                coarse = _float_panel(g, float_rules[1], mid, half)
+                if coarse is not None:
+                    value = mpmath.mpmathify(fine[0])
+                    return value, abs(value - mpmath.mpmathify(coarse[0])), mpf(fine[1])
+        fine = _gl_panel(f, a, b, rule_hi)
+        return fine, abs(fine - _gl_panel(f, a, b, rule_lo)), mpf(0)
+
     panels = {}
     heap = []
     serial = 0
     err = mpf(0)
     for a, b in zip(boundaries, boundaries[1:]):
-        fine, delta, bound = _panel_record(f, a, b, rule_hi, rule_lo, fast)
+        fine, delta, bound = record(a, b)
         panels[serial] = (a, b, fine, delta, bound)
         heapq.heappush(heap, (-delta, serial))
         err += delta
@@ -233,7 +258,7 @@ def _adaptive_quad(f, boundaries, rule_hi, rule_lo, tol_abs, max_panels=3000, fa
         del panels[key]
         err -= delta
         for lo, hi in ((a, mid), (mid, b)):
-            fine, dlt, bound = _panel_record(f, lo, hi, rule_hi, rule_lo, fast)
+            fine, dlt, bound = record(lo, hi)
             panels[serial] = (lo, hi, fine, dlt, bound)
             heapq.heappush(heap, (-dlt, serial))
             err += dlt
@@ -248,9 +273,7 @@ def _adaptive_quad(f, boundaries, rule_hi, rule_lo, tol_abs, max_panels=3000, fa
     if len(panels) >= max_panels and err > tol_abs:
         raise TruncationBoundError(f"quadrature used its budget of {max_panels} panels with "
                                    f"error {mpmath.nstr(err, 3)} > {mpmath.nstr(tol_abs, 3)}")
-    if fast is not None:
-        err += _pairwise_sum([rec[4] for rec in ordered])
-    return value, err
+    return value, err + _pairwise_sum([rec[4] for rec in ordered])
 
 
 def _osc_boundaries(t0: float, T: float, freq, capacity: float):
@@ -304,12 +327,13 @@ def _rice_kernel(s, n: int, ln_fact):
     return mpmath.exp(ln_fact) / prod
 
 
-def _line_freq(n: int, chi_phase: bool, ln_amp0: float, amp_slope: float, tol: float):
-    """Float estimate of the integrand's local phase rate on a Rice line.
+def _line_freq(n: int, ln_amp: float, tol: float):
+    """Float estimate of the integrand's local phase rate on the line
+    Re s = 3/2, where |phi| <= e^ln_amp.
 
-    Components: the reflection-factor phase ln(t/2pi) (left line only), the
-    kernel's arctan drift <= (n+2)/t, and the highest Dirichlet frequency
-    ln k whose k^(-3/2)-sized term is still above tol at height t.
+    Components: the kernel's arctan drift <= (n+2)/t and the highest
+    Dirichlet frequency ln k whose k^(-3/2)-sized term is still above tol
+    at height t.
     """
     ln_fact = math.lgamma(n + 1)
     ln_tol = math.log(tol)
@@ -317,68 +341,37 @@ def _line_freq(n: int, chi_phase: bool, ln_amp0: float, amp_slope: float, tol: f
     def freq(t: float) -> float:
         t = max(t, 1e-6)
         ln_kern = ln_fact - (n + 1) * math.log(t)
-        ln_amp = ln_amp0 + amp_slope * math.log1p(t)
         ln_kmax = (2.0 / 3.0) * (ln_amp + ln_kern - ln_tol)
-        base = abs(math.log(t / (2 * math.pi))) if chi_phase else 0.0
-        return max(base, ln_kmax, 0.1) + (n + 2) / t
+        return max(ln_kmax, 0.1) + (n + 2) / t
 
     return freq
 
 
-def _line_data(kind: str, n: int, working: int):
-    """Integrand f(t), its float64 tier g(t, dt) and the lowest height that
-    tier serves, tail bound, result scale, frequency model.
+def _line_data(kind: str, n: int, target: int):
+    """What `rice_integral` needs of one Rice line: working digits (target,
+    the digits the line cancels and 12 guard digits), integrand f(t), its
+    float64 tier g(t, dt), tail bound, result scale and frequency model
+    (None on the left line, whose grid is graded instead).
 
     The right and inverse lines sit at Re s = 3/2, the left line at -1/2.
     """
+    if kind == "zeta-left":
+        cancel = math.ceil(2 * math.sqrt(math.pi * n) / math.log(10))
+    elif kind == "inv-zeta":
+        cancel = 2 + math.ceil(1.5 * math.log10(n))
+    else:
+        cancel = 2 + math.ceil(math.log10(n + 1))
+    working = target + cancel + 12
     with workdps(working):
         ln_fact = mpmath.loggamma(n + 1)
-        ln_fact_f = float(ln_fact)
-        c = mpf("-0.5") if kind == "zeta-left" else mpf("1.5")
-        t_min = -math.inf
-        if kind == "zeta-right":
-            zc = mpmath.zeta(c)
+        if kind == "zeta-left":
+            c = mpf("-0.5")
 
-            def f(t):
-                s = c + mpc(0, 1) * t
-                return (mpmath.zeta(s) * _rice_kernel(s, n, ln_fact)).real
-
-            def g(t, dt):
-                return _rice_line_float(t, dt, n, ln_fact_f, False)
-
-            def tail(T):
-                return zc * mpmath.exp(ln_fact - n * mpmath.ln(T)) / n
-
-            scale = max(mpf(1), n * mpmath.ln(n + 1))
-
-            def freq_for(tol: float):
-                return _line_freq(n, False, float(mpmath.ln(zc)), 0.0, tol)
-
-        elif kind == "inv-zeta":
-            bound = mpmath.zeta(c) / mpmath.zeta(2 * c)
-
-            def f(t):
-                s = c + mpc(0, 1) * t
-                return (_rice_kernel(s, n, ln_fact) / mpmath.zeta(s)).real
-
-            def g(t, dt):
-                return _rice_line_float(t, dt, n, ln_fact_f, True)
-
-            def tail(T):
-                return bound * mpmath.exp(ln_fact - n * mpmath.ln(T)) / n
-
-            scale = mpf(2)
-
-            def freq_for(tol: float):
-                return _line_freq(n, False, float(mpmath.ln(bound)), 0.0, tol)
-
-        else:  # zeta-left
             def f(t):
                 s = c + mpc(0, 1) * t
                 return (mpcore.zeta_cx(s) * _rice_kernel(s, n, ln_fact)).real
 
             lg_fact = math.lgamma(n + 1)
-            t_min = _FLOAT_T_MIN
 
             def g(t, dt):
                 return _left_line_float(t, 1.5, n, lg_fact)
@@ -395,12 +388,28 @@ def _line_data(kind: str, n: int, working: int):
                     + mpmath.exp(ln_fact - n * mpmath.ln(T)) / (2 * n)
                 )
 
-            scale = envelope_bound(n, working)
+            return working, f, g, tail, +envelope_bound(n, working), None
 
-            def freq_for(tol: float):
-                return _line_freq(n, True, float(mpmath.ln(amp)), 1.0, tol)
+        # zeta-right (phi = zeta) and inv-zeta (phi = 1/zeta), |phi| <= amp
+        c = mpf("1.5")
+        inverse = kind == "inv-zeta"
+        amp = mpmath.zeta(c) / mpmath.zeta(2 * c) if inverse else mpmath.zeta(c)
+        ln_fact_f = float(ln_fact)
 
-        return f, g, t_min, tail, +scale, freq_for
+        def f(t):
+            s = c + mpc(0, 1) * t
+            kern, z = _rice_kernel(s, n, ln_fact), mpmath.zeta(s)
+            return (kern / z if inverse else z * kern).real
+
+        def g(t, dt):
+            return _rice_line_float(t, dt, n, ln_fact_f, inverse)
+
+        def tail(T):
+            return amp * mpmath.exp(ln_fact - n * mpmath.ln(T)) / n
+
+        scale = mpf(2) if inverse else max(mpf(1), n * mpmath.ln(n + 1))
+        ln_amp = float(mpmath.ln(amp))
+        return working, f, g, tail, +scale, lambda tol: _line_freq(n, ln_amp, tol)
 
 
 def _choose_height(tail, tol_abs, T_given, what: str, T_start=4):
@@ -451,16 +460,8 @@ def rice_integral(kind: str, n: int, prec=15, spec: ContourSpec | None = None) -
     if spec.kind != "vertical":
         raise DomainError(f"rice_integral needs a vertical contour, got {spec.kind!r}")
 
-    if kind == "zeta-left":
-        cancel = math.ceil(2 * math.sqrt(math.pi * n) / math.log(10))
-    elif kind == "inv-zeta":
-        cancel = 2 + math.ceil(1.5 * math.log10(n))
-    else:
-        cancel = 2 + math.ceil(math.log10(n + 1))
-    working = target + cancel + 12
-
+    working, f, g, tail, scale, freq_for = _line_data(kind, n, target)
     with workdps(working):
-        f, g, t_min, tail, scale, freq_for = _line_data(kind, n, working)
         tol_abs = mpf(10) ** (-(target + 1)) * scale
         T, bound = _choose_height(tail, tol_abs, spec.T, f"{kind} line integral at n={n}")
 
@@ -472,10 +473,11 @@ def rice_integral(kind: str, n: int, prec=15, spec: ContourSpec | None = None) -
         rule_hi, rule_lo = _embedded_rules(degree, working)
         if spec.panels is not None:
             boundaries = _graded_boundaries(0, T, spec.panels)
-        elif kind == "zeta-left":
-            # the reflection factor grows like t and carries a huge steadily
-            # swept Dirichlet spectrum; a frequency grid oversizes itself
-            # here, so start coarse and let the worst-first splitter resolve
+        elif freq_for is None:
+            # the left line's reflection factor grows like t and carries a
+            # huge steadily swept Dirichlet spectrum; a frequency grid
+            # oversizes itself there, so start coarse and let the
+            # worst-first splitter resolve
             boundaries = _graded_boundaries(0, T, max(10, int(math.ceil(math.log2(float(T)))) + 6))
         else:
             t_head = min(mpf(16), T / 2)
@@ -484,8 +486,7 @@ def rice_integral(kind: str, n: int, prec=15, spec: ContourSpec | None = None) -
                 float(t_head), float(T), freq_for(float(tol_abs)), _gl_capacity(degree)
             )
             boundaries = head + osc[1:]
-        fast = _float_panels(g, T, tol_abs / 4, rule_hi, rule_lo, t_min)
-        integral, quad_err = _adaptive_quad(f, boundaries, rule_hi, rule_lo, tol_abs / 2, fast=fast)
+        integral, quad_err = _adaptive_quad(f, boundaries, rule_hi, rule_lo, tol_abs / 2, g=g)
 
         sign = 1 if n % 2 else -1
         value = +(sign * integral / mpmath.pi)
@@ -575,9 +576,7 @@ def saddle_contour_integral(n: int, prec=15, spec: ContourSpec | None = None) ->
         slant_bounds = _uniform_boundaries(0, u_end, base)
         slant, err_s = _adaptive_quad(
             lambda u: F(x_cross + u * e_dir) * e_dir, slant_bounds, rule_hi, rule_lo, tol_abs / 4,
-            fast=_float_panels(
-                _slant_float(float(x_cross), complex(e_dir), n, ln_fact_f), u_end, tol_abs / 8, rule_hi, rule_lo
-            ),
+            g=_slant_float(float(x_cross), complex(e_dir), n, ln_fact_f),
         )
 
         if spec.panels is not None:
@@ -594,7 +593,7 @@ def saddle_contour_integral(n: int, prec=15, spec: ContourSpec | None = None) ->
             )
         vert, err_v = _adaptive_quad(
             lambda t: F(x_left + mpc(0, 1) * t) * mpc(0, 1), vert_bounds, rule_hi, rule_lo, tol_abs / 4,
-            fast=_float_panels(_ray_float(xl, n, ln_fact_f), T - h_end, tol_abs / 8, rule_hi, rule_lo),
+            g=_ray_float(xl, n, ln_fact_f),
         )
 
         total = slant + vert

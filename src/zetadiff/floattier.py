@@ -7,10 +7,9 @@ float64 with a proven bound on the error: zeta by Euler-Maclaurin
 (`_zeta_float`), log Gamma by Stirling's series (`_loggamma_float`), and on
 them the integrand of each Rice line and of the saddle contour.  Every float
 integrand returns (value, bound), or None where its bound does not hold; the
-bound covers the rounding of the float node too.  `_float_panels` turns one
-into a panel evaluator for the adaptive quadrature in `contour`: a panel is
-evaluated in float64 when its bound fits its share of the tolerance, and the
-bound is added to the error estimate.
+bound covers the rounding of the float node too.  This module holds float
+math only: which panels take the float tier is decided by the quadrature
+driver in `contour`.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import itertools
 import math
 
 import mpmath
-from mpmath import mpf, workdps
+from mpmath import workdps
 
 _U = 2.0**-53  # unit roundoff of IEEE double
 _LN_2PI = math.log(2 * math.pi)
@@ -178,9 +177,9 @@ def _times_exp(z: complex, err_z: float, big_l: complex, err_l: float) -> tuple[
     return value, 1.25 * mag * (abs(z) * (err_l + 4 * _U) + err_z) * (1 + 2 * err_l)
 
 
-def _left_line_float(t: float, sigma: float, n: int, ln_fact: float) -> tuple[float, float]:
+def _left_line_float(t: float, sigma: float, n: int, ln_fact: float) -> tuple[float, float] | None:
     """(Re[zeta(s) K_n(s)] at s = 1 - sigma + i t in float64, bound on its error),
-    for t >= _FLOAT_T_MIN.
+    or None below t = _FLOAT_T_MIN, where Stirling's series is not used.
 
     zeta(s) = chi(s) zeta(w) with w = 1 - s = sigma - i t:
 
@@ -193,6 +192,8 @@ def _left_line_float(t: float, sigma: float, n: int, ln_fact: float) -> tuple[fl
     The bound charges every float operation one unit roundoff per operand
     magnitude, with margin, including the large terms of log chi.
     """
+    if t < _FLOAT_T_MIN:
+        return None
     u = _U
     s = complex(1.0 - sigma, t)
     w = complex(sigma, -t)
@@ -322,43 +323,3 @@ def _ray_float(xl: float, n: int, ln_fact: float):
         return v * 1j, e
 
     return g
-
-
-def _float_panels(g, length, tol_abs, rule_hi, rule_lo, t_min=-math.inf):
-    """Panel evaluator for `_adaptive_quad` from a float64 integrand
-    g(t, dt) -> (value, bound) or None, where dt bounds the rounding of the
-    float node t.  A panel [a, b] takes the float tier when a >= t_min, g
-    has a bound at every node, and the bound of the panel's sum is within
-    tol_abs (b - a) / length, so the bounds of all panels of an integral of
-    that length sum to at most tol_abs."""
-    rules = [[(float(x), float(wt)) for x, wt in rule] for rule in (rule_hi, rule_lo)]
-    per_length = float(tol_abs) / float(length)
-
-    def panel_sum(rule, mid, half):
-        # the node mid + half x is within u (|mid| + 3 |half| + |t|) of exact
-        node_err = 1.01 * _U * (abs(mid) + 3 * abs(half))
-        acc = acc_abs = acc_err = 0.0
-        for x, wt in rule:
-            t = mid + half * x
-            got = g(t, node_err + 1.01 * _U * abs(t))
-            if got is None:
-                return None
-            v, e = got
-            acc += wt * v
-            acc_abs += wt * abs(v)
-            acc_err += wt * e
-        return half * acc, half * (acc_err + (len(rule) + 4) * _U * acc_abs)
-
-    def fast(a, b):
-        if a < t_min:
-            return None
-        mid, half = float((a + b) / 2), float((b - a) / 2)
-        fine = panel_sum(rules[0], mid, half)
-        if fine is None or not fine[1] <= per_length * 2 * half:
-            return None
-        coarse = panel_sum(rules[1], mid, half)
-        if coarse is None:
-            return None
-        return mpmath.mpmathify(fine[0]), mpmath.mpmathify(coarse[0]), mpf(fine[1])
-
-    return fast

@@ -48,22 +48,19 @@ _CANCELLING_KINDS = frozenset({"delta", "b", "A", "a", "d", "c"})
 class PrecisionBudget:
     """Decimal precision plan: target digits requested, working digits used.
 
-    Invariant: working_digits >= target_digits + guard_digits.
+    Invariant: working_digits >= target_digits + DEFAULT_GUARD_DIGITS.
     """
 
     target_digits: int
     working_digits: int
-    guard_digits: int = DEFAULT_GUARD_DIGITS
 
     def __post_init__(self):
         if self.target_digits < 1:
             raise DomainError(f"target_digits must be >= 1, got {self.target_digits}")
-        if self.guard_digits < 0:
-            raise DomainError(f"guard_digits must be >= 0, got {self.guard_digits}")
-        if self.working_digits < self.target_digits + self.guard_digits:
+        if self.working_digits < self.target_digits + DEFAULT_GUARD_DIGITS:
             raise DomainError(
                 f"working_digits={self.working_digits} below "
-                f"target+guard={self.target_digits + self.guard_digits}"
+                f"target+guard={self.target_digits + DEFAULT_GUARD_DIGITS}"
             )
 
     def require(self, working_digits: int, what: str = "operation") -> None:
@@ -121,7 +118,6 @@ def required_working_digits(
     target_digits: int,
     k: int = 1,
     method: str | None = None,
-    guard_digits: int = DEFAULT_GUARD_DIGITS,
 ) -> int:
     """Minimum working precision for computing sequence `kind` at index n.
 
@@ -133,7 +129,7 @@ def required_working_digits(
     cancel = 0
     if kind in _CANCELLING_KINDS and method not in ("series", "moebius"):
         cancel = cancellation_digits(n)
-    return cancel + smallness_digits(kind, n, k) + target_digits + guard_digits
+    return cancel + smallness_digits(kind, n, k) + target_digits + DEFAULT_GUARD_DIGITS
 
 
 def as_budget(
@@ -150,9 +146,7 @@ def as_budget(
     the error) if it cannot reach its own target for this kind and index.
     """
     if isinstance(prec, PrecisionBudget):
-        need = required_working_digits(
-            kind, n, prec.target_digits, k, method, prec.guard_digits
-        )
+        need = required_working_digits(kind, n, prec.target_digits, k, method)
         prec.require(need, what=f"{kind}(n={n})")
         return prec
     target = int(prec)

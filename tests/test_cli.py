@@ -6,6 +6,7 @@ import re
 import pytest
 from mpmath import workdps
 
+from zetadiff import differences
 from zetadiff.cli import main
 from zetadiff.precision import format_decimal, parse_decimal
 
@@ -75,6 +76,19 @@ def test_seq_out_file(tmp_path, capsys):
     assert code == 0
     text = dest.read_text()
     assert "7.15059" in text
+
+
+@pytest.mark.parametrize("where", ["missing/b.csv", "."])
+def test_seq_unwritable_out_is_usage_error(where, tmp_path, monkeypatch, capsys):
+    def computed(*args, **kwargs):
+        raise AssertionError("computed before the --out path was checked")
+
+    monkeypatch.setattr(differences, "sequence_many", computed)
+    code, out, err = run(capsys, "seq", "b", "--n", "1..3", "--out", str(tmp_path / where))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: cannot write --out")
+    assert len(err.splitlines()) == 1
 
 
 def test_seq_method_validation(capsys):

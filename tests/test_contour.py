@@ -119,6 +119,10 @@ def test_left_line_float_bits_are_pinned(key):
     assert (value.hex(), bound.hex()) == _LEFT_LINE_BITS[key]
 
 
+def test_left_line_float_refuses_below_the_stirling_height():
+    assert floattier._left_line_float(15.9, 1.5, 5, math.lgamma(6)) is None
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     sigma=st.floats(min_value=1.1, max_value=20.0),
@@ -247,6 +251,35 @@ def test_adaptive_quad_out_of_panels_raises():
         value, err = contour._adaptive_quad(f, bounds, hi, lo, mpf("1e-15"))
         assert err <= mpf("1e-15")
         assert abs(value - mpmath.sin(40) / 40) < mpf("1e-14")
+
+
+def test_adaptive_quad_without_float_bounds_matches_no_float_tier():
+    hi, lo = contour.legendre_rule(8, 20), contour.legendre_rule(4, 20)
+    with workdps(20):
+        f = lambda t: mpmath.cos(40 * t)
+        bounds = [mpf(0), mpf("0.5"), mpf(1)]
+        plain = contour._adaptive_quad(f, bounds, hi, lo, mpf("1e-15"))
+        refused = contour._adaptive_quad(f, bounds, hi, lo, mpf("1e-15"), g=lambda t, dt: None)
+    assert [x._mpf_ for x in refused] == [x._mpf_ for x in plain]
+
+
+def test_adaptive_quad_float_tier_bounds_join_the_error():
+    hi, lo = contour.legendre_rule(16, 20), contour.legendre_rule(8, 20)
+    node_bound = 1e-13  # covers math.cos and the rounding of 40 t (below 1e-14 on [0, 1])
+
+    def f(t):
+        raise AssertionError("every panel should take the float tier")
+
+    def g(t, dt):
+        return math.cos(40 * t), node_bound + 40 * dt
+
+    with workdps(20):
+        tol = mpf("1e-9")
+        value, err = contour._adaptive_quad(f, [mpf(0), mpf(1)], hi, lo, tol, g=g)
+        # the bounds sum to at least node_bound times the length, 1
+        assert err >= mpf(node_bound)
+        assert err <= 1.5 * tol
+        assert abs(value - mpmath.sin(40) / 40) <= err
 
 
 def test_rice_domain_errors():
