@@ -22,10 +22,16 @@ Two families:
   sqrt(2 pi n)), and finishes with a vertical ray once Re s has dropped
   to c1 sqrt(n).
 
-Quadrature is composite Gauss-Legendre with cached nodes, panels graded
-geometrically from the start of each interval (the integrands peak at the
-start and decay fast), pairwise summation of panel contributions, and an
-embedded error estimate: each panel's rule against one of half its degree.
+Quadrature is composite Gauss-Legendre with cached nodes, pairwise
+summation of panel contributions, and an embedded error estimate: each
+panel's rule against one of half its degree.  A Rice line's automatic grid
+starts with panels whose widths double away from t = 0 (the integrands
+peak there and decay fast), but its first panel is never narrower than
+w0 = 10^(-working/degree): each integrand is analytic in the strip
+|Im t| < 1/2 around the line, so Gauss-Legendre converges geometrically on
+a panel of width w0 too.  The half-degree rule's error on a start panel
+of width w falls like (w/2)^degree, so at w0 it is already below the
+working precision, and narrower start panels only add mpmath evaluations.
 Every integral (the three Rice lines and both saddle pieces) also has a
 float64 integrand with a proven error bound, from `floattier`.  One driver,
 `_adaptive_quad`, picks the tier of each panel: float64 when the integrand
@@ -105,6 +111,8 @@ class QuadratureResult:
     truncation_height: mpf
     truncation_bound: mpf
     pieces: tuple
+    # integrand nodes evaluated by the quadrature: (mpmath, float64)
+    evaluations: tuple = (0, 0)
 
 
 # every oracle works at most _MAX_TARGET + 28 digits (zeta-left at n = 100:
@@ -121,30 +129,43 @@ def legendre_rule(degree: int, working: int):
     return _legendre_nodes(degree, max(working, _GL_WORKING))
 
 
+def _legendre_eval(degree: int, x):
+    """P_degree(x) and its derivative by the three-term recurrence, in the
+    arithmetic of x (float or mpf)."""
+    p0, p1 = 1, x
+    for k in range(2, degree + 1):
+        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+    return p1, degree * (x * p1 - p0) / (x * x - 1)
+
+
+def _newton_root(degree: int, x, eps, steps: int):
+    """Newton's iteration for a root of P_degree from x, until a step is
+    below eps or after `steps` steps."""
+    for _ in range(steps):
+        p, dp = _legendre_eval(degree, x)
+        dx = p / dp
+        x = x - dx
+        if abs(dx) < eps:
+            break
+    return x
+
+
 @functools.lru_cache(maxsize=None)
 def _legendre_nodes(degree: int, working: int):
     dps = working + 10
     with workdps(dps):
-        nodes = []
-        for i in range(1, degree + 1):
-            # Newton iteration from the Chebyshev-like initial guess
-            x = mpmath.cos(mpmath.pi * (i - mpf("0.25")) / (degree + mpf("0.5")))
-            for _ in range(60):
-                p0, p1 = mpf(1), x
-                for k in range(2, degree + 1):
-                    p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-                dp = degree * (x * p1 - p0) / (x * x - 1)
-                dx = p1 / dp
-                x = x - dx
-                if abs(dx) < mpf(10) ** (-dps):
-                    break
-            p0, p1 = mpf(1), x
-            for k in range(2, degree + 1):
-                p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-            dp = degree * (x * p1 - p0) / (x * x - 1)
-            w = 2 / ((1 - x * x) * dp * dp)
-            nodes.append((+x, +w))
-    return tuple(nodes)
+        eps = mpf(10) ** (-dps)
+        half = []
+        # the roots are symmetric about 0: build the positive ones (and 0
+        # for odd degree), Newton from the Chebyshev-like guess in float64
+        # and then at dps digits, and mirror the rest by exact negation
+        for i in range(1, (degree + 1) // 2 + 1):
+            x = _newton_root(degree, math.cos(math.pi * (i - 0.25) / (degree + 0.5)), 1e-15, 20)
+            x = _newton_root(degree, mpf(x), eps, 60)
+            dp = _legendre_eval(degree, x)[1]
+            half.append((+x, +(2 / ((1 - x * x) * dp * dp))))
+        # negation at the precision x was rounded to is exact
+        return tuple(half + [(-x, w) for x, w in reversed(half[: degree // 2])])
 
 
 def _pairwise_sum(values: list):
@@ -160,12 +181,14 @@ def _pairwise_sum(values: list):
     return vals[0]
 
 
-def _graded_boundaries(a, b, panels: int):
-    """Panel boundaries on [a, b], widths doubling away from a."""
+def _graded_boundaries(a, b, panels: int, min_width=0):
+    """Panel boundaries on [a, b], widths doubling away from a; the interior
+    boundaries closer than min_width to a are left out."""
     a = mpf(a)
     b = mpf(b)
     denom = mpf(2) ** panels - 1
-    return [a + (b - a) * (mpf(2) ** k - 1) / denom for k in range(panels + 1)]
+    bounds = [a + (b - a) * (mpf(2) ** k - 1) / denom for k in range(panels + 1)]
+    return bounds[:1] + [x for x in bounds[1:-1] if x - a >= min_width] + bounds[-1:]
 
 
 def _uniform_boundaries(a, b, panels: int):
@@ -205,7 +228,8 @@ def _float_panel(g, rule, mid, half):
     return half * acc, half * (acc_err + (len(rule) + 4) * _U * acc_abs)
 
 
-def _adaptive_quad(f, boundaries, rule_hi, rule_lo, tol_abs, max_panels=3000, g=None):
+def _adaptive_quad(f, boundaries, rule_hi, rule_lo, tol_abs, max_panels=3000, g=None,
+                   evaluations=None):
     """Composite GL with worst-first bisection until the summed embedded
     deltas drop below tol_abs.  Running out of the `max_panels` budget
     first raises TruncationBoundError.
@@ -216,21 +240,30 @@ def _adaptive_quad(f, boundaries, rule_hi, rule_lo, tol_abs, max_panels=3000, g=
     within (tol_abs/2) (b - a) / (boundaries[-1] - boundaries[0]), so the
     bounds of all accepted panels sum to at most tol_abs/2; otherwise f is
     evaluated.  The returned error estimate includes the accepted bounds.
+
+    `evaluations`, a list [mpmath, float64], gains the number of integrand
+    nodes evaluated in each tier.
     """
+    counts = evaluations if evaluations is not None else [0, 0]
     if g is not None:
         float_rules = [[(float(x), float(wt)) for x, wt in rule] for rule in (rule_hi, rule_lo)]
         share = float(tol_abs / 2) / float(boundaries[-1] - boundaries[0])
+
+        def g_counted(t, dt):
+            counts[1] += 1
+            return g(t, dt)
 
     def record(a, b):
         """(value, error delta, rounding bound) of the panel [a, b]."""
         if g is not None:
             mid, half = float((a + b) / 2), float((b - a) / 2)
-            fine = _float_panel(g, float_rules[0], mid, half)
+            fine = _float_panel(g_counted, float_rules[0], mid, half)
             if fine is not None and fine[1] <= share * 2 * half:
-                coarse = _float_panel(g, float_rules[1], mid, half)
+                coarse = _float_panel(g_counted, float_rules[1], mid, half)
                 if coarse is not None:
                     value = mpmath.mpmathify(fine[0])
                     return value, abs(value - mpmath.mpmathify(coarse[0])), mpf(fine[1])
+        counts[0] += len(rule_hi) + len(rule_lo)
         fine = _gl_panel(f, a, b, rule_hi)
         return fine, abs(fine - _gl_panel(f, a, b, rule_lo)), mpf(0)
 
@@ -471,6 +504,8 @@ def rice_integral(kind: str, n: int, prec=15, spec: ContourSpec | None = None) -
             # absorbs more phase per node (measured ~25% cheaper at n=5)
             degree = 64
         rule_hi, rule_lo = _embedded_rules(degree, working)
+        # no start panel narrower than w0 (see the module docstring)
+        w0 = mpf(10) ** (-mpf(working) / degree)
         if spec.panels is not None:
             boundaries = _graded_boundaries(0, T, spec.panels)
         elif freq_for is None:
@@ -478,15 +513,19 @@ def rice_integral(kind: str, n: int, prec=15, spec: ContourSpec | None = None) -
             # huge steadily swept Dirichlet spectrum; a frequency grid
             # oversizes itself there, so start coarse and let the
             # worst-first splitter resolve
-            boundaries = _graded_boundaries(0, T, max(10, int(math.ceil(math.log2(float(T)))) + 6))
+            panels = max(10, int(math.ceil(math.log2(float(T)))) + 6)
+            boundaries = _graded_boundaries(0, T, panels, w0)
         else:
             t_head = min(mpf(16), T / 2)
-            head = _graded_boundaries(0, t_head, 12)
+            head = _graded_boundaries(0, t_head, 12, w0)
             osc = _osc_boundaries(
                 float(t_head), float(T), freq_for(float(tol_abs)), _gl_capacity(degree)
             )
             boundaries = head + osc[1:]
-        integral, quad_err = _adaptive_quad(f, boundaries, rule_hi, rule_lo, tol_abs / 2, g=g)
+        evaluations = [0, 0]
+        integral, quad_err = _adaptive_quad(
+            f, boundaries, rule_hi, rule_lo, tol_abs / 2, g=g, evaluations=evaluations
+        )
 
         sign = 1 if n % 2 else -1
         value = +(sign * integral / mpmath.pi)
@@ -497,6 +536,7 @@ def rice_integral(kind: str, n: int, prec=15, spec: ContourSpec | None = None) -
             truncation_height=+T,
             truncation_bound=+bound,
             pieces=(PieceContribution("vertical", value),),
+            evaluations=tuple(evaluations),
         )
 
 
@@ -573,10 +613,11 @@ def saddle_contour_integral(n: int, prec=15, spec: ContourSpec | None = None) ->
         ln_fact_f = float(ln_fact)
         xl = float(x_left)
 
+        evaluations = [0, 0]  # both pieces
         slant_bounds = _uniform_boundaries(0, u_end, base)
         slant, err_s = _adaptive_quad(
             lambda u: F(x_cross + u * e_dir) * e_dir, slant_bounds, rule_hi, rule_lo, tol_abs / 4,
-            g=_slant_float(float(x_cross), complex(e_dir), n, ln_fact_f),
+            g=_slant_float(float(x_cross), complex(e_dir), n, ln_fact_f), evaluations=evaluations,
         )
 
         if spec.panels is not None:
@@ -593,7 +634,7 @@ def saddle_contour_integral(n: int, prec=15, spec: ContourSpec | None = None) ->
             )
         vert, err_v = _adaptive_quad(
             lambda t: F(x_left + mpc(0, 1) * t) * mpc(0, 1), vert_bounds, rule_hi, rule_lo, tol_abs / 4,
-            g=_ray_float(xl, n, ln_fact_f),
+            g=_ray_float(xl, n, ln_fact_f), evaluations=evaluations,
         )
 
         total = slant + vert
@@ -609,4 +650,5 @@ def saddle_contour_integral(n: int, prec=15, spec: ContourSpec | None = None) ->
                 PieceContribution("slant", +slant),
                 PieceContribution("vertical", +vert),
             ),
+            evaluations=tuple(evaluations),
         )

@@ -182,6 +182,15 @@ def test_saddle_float_tier_bound_covers_error(n):
     assert floattier._saddle_float(complex(4.0, 0.0), 0.0, n, ln_fact, False) is None
 
 
+_MOST_MPMATH_NODES = {
+    ("zeta-right", 6, 10): 144,
+    ("zeta-right", 20, 12): 240,
+    ("zeta-left", 20, 10): 384,
+    ("inv-zeta", 10, 12): 288,
+    (50, 8): 0,
+}
+
+
 @pytest.mark.parametrize(
     "oracle, exact",
     [
@@ -197,9 +206,37 @@ def test_benchmark_oracles_within_their_error_estimate(oracle, exact):
         res, n = contour.rice_integral(*oracle), oracle[1]
     else:
         res, n = contour.saddle_contour_integral(*oracle), oracle[0]
+    # no Rice start panel is narrower than w0 = 10^(-working/degree), so
+    # each line's head is a few wide mpmath panels
+    assert res.evaluations[0] <= _MOST_MPMATH_NODES[oracle]
     want = exact(n, 40).value
     with workdps(40):
         assert abs(res.value - want) <= res.error_estimate
+
+
+def test_graded_boundaries_drop_only_the_narrow_start():
+    full = contour._graded_boundaries(0, 16, 12)
+    cut = contour._graded_boundaries(0, 16, 12, mpf("0.2"))
+    assert cut[0] == 0 and cut[-1] == full[-1]
+    assert cut[1:] == [x for x in full if x >= mpf("0.2")]
+    assert contour._graded_boundaries(0, 16, 12, mpf(0)) == full
+
+
+def test_adaptive_quad_counts_nodes_per_tier():
+    hi, lo = contour.legendre_rule(16, 20), contour.legendre_rule(8, 20)
+    with workdps(20):
+        f = lambda t: mpmath.cos(t)
+        counts = [0, 0]
+        contour._adaptive_quad(f, [mpf(0), mpf(1)], hi, lo, mpf("1e-12"), evaluations=counts)
+        assert counts == [24, 0]
+        # the float tier refuses t > 1/2, so the second panel goes to mpmath
+        g = lambda t, dt: (math.cos(t), 1e-15) if t < 0.5 else None
+        counts = [0, 0]
+        contour._adaptive_quad(f, [mpf(0), mpf("0.5"), mpf(1)], hi, lo, mpf("1e-12"), g=g,
+                               evaluations=counts)
+        # the 24 float nodes of the first panel, plus the second panel's
+        # first node (nearest t = 1), where g refuses
+        assert counts == [24, 25]
 
 
 def test_rice_left_line_long():

@@ -4,7 +4,9 @@ The files in tests/data/golden were captured from the mpf-loop implementation
 that the exact integer kernel replaced; the kernel must print the same bytes.
 The second group covers every other command and both renderers (CSV and
 JSON tables, text and JSON reports); it was captured before the verify checks
-and the command dispatch became tables.
+and the command dispatch became tables.  The last group (the Rice lines at
+n = 10 and 20, and `verify full`) was captured before the Rice lines' start
+grids lost their panels narrower than the working precision needs.
 """
 
 from pathlib import Path
@@ -37,6 +39,10 @@ COMMANDS = {
     "identity": "identity",
     "zero-model": "zero-model",
     "contour-right-6": "contour right --n 6",
+    "contour-right-20-12": "contour right --n 20 --digits 12",
+    "contour-left-20": "contour left --n 20",
+    "contour-inv-10-12": "contour inv --n 10 --digits 12",
+    "verify-full": "verify full",
     "signs-200-json": "signs --n 200 --format json",
     "seq-b-1-8-json": "seq b --n 1..8 --format json",
 }
