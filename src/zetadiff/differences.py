@@ -21,10 +21,14 @@ pieces) and refuses budgets that cannot reach the requested target.
 
 One exact kernel serves every binomial route, in fixed point with
 P = dps_to_prec(w) + 10 bits at the working digits w.  Its inputs are
-integers: floor(x_k 2^P) of zeta(k), 1/zeta(k) or zeta(k+1)/(k+1) taken from
-`mpcore` at w digits (within one unit of 2^-P of that mpf), and for A and a
-the entries of `mpcore._hurwitz_fixed`, proven within 2 units of 2^-P of
-zeta(l, m/k)/k^l itself.  S_n = sum_k C(n,k) (-1)^k X_k is exact, so for A_n
+integers: floor(x_k 2^P) of zeta(k), 1/zeta(k) or zeta(k+1)/(k+1) as mpfs
+at w digits, and for A and a the entries of `mpcore._hurwitz_fixed`, proven
+within 2 units of 2^-P of zeta(l, m/k)/k^l itself.  zeta(k) is the mpf
+`mpcore.zeta_int` returns: a single index reads it there, and a batch reads
+the same bits from `mpcore._zeta_rounded`, one fixed-point table rounded
+once (mpmath only near a rounding tie); 1/zeta(k) and zeta(k+1)/(k+1) are
+one correctly rounded mpf division of it, so both routes give the same
+integers.  S_n = sum_k C(n,k) (-1)^k X_k is exact, so for A_n
 it is within 2^(n+1) units of 2^P A_n; the budget's cancellation digits cover
 that.  b_n and a_n are assembled in the same fixed point
 with exact harmonic numbers, and every value is rounded once, to w digits.
@@ -145,15 +149,21 @@ def _binomial_sum(n: int, xs: list, working: int) -> mpf:
     return _from_fixed(_binomial_dot(n, [_to_fixed(x, bits) for x in xs]), bits, working)
 
 
-def _input(kind: str, k: int, working: int, q) -> mpf:
-    """x_k of the kind's alternating sum as an mpf (k >= 2; k >= 1 for c)."""
-    if kind == "c":
-        return mpcore.zeta_int(k + 1, working) / (k + 1)
+def _input(kind: str, k: int, working: int, q, zeta: mpf | None = None) -> mpf:
+    """x_k of the kind's alternating sum as an mpf (k >= 2; k >= 1 for c).
+
+    `zeta` is zeta(k) (zeta(k+1) for c) as `mpcore.zeta_int` returns it, when
+    the caller has it already.
+    """
     if kind in ("A", "a"):
         return mpcore.hurwitz_int(k, q, working) / mpf(q.k) ** k
+    if zeta is None:
+        zeta = mpcore.zeta_int(k + 1 if kind == "c" else k, working)
+    if kind == "c":
+        return zeta / (k + 1)
     if kind == "d":
-        return 1 / mpcore.zeta_int(k, working)
-    return mpcore.zeta_int(k, working)
+        return 1 / zeta
+    return zeta
 
 
 def _harmonic_fixed(ns, bits: int) -> dict[int, int]:
@@ -170,15 +180,18 @@ def _harmonic_fixed(ns, bits: int) -> dict[int, int]:
 def _kernel(kind: str, ns, working: int, q=None) -> dict[int, mpf]:
     """Values of a binomial-route kind at every n in ns, at `working` digits."""
     bits = _fixed_bits(working)
-    top = max(ns)
+    top, wanted = max(ns), set(ns)
     if q is not None:
         xs = mpcore._hurwitz_fixed(top, q.m, q.k, bits)
     else:
+        # c reads zeta(k+1) for k >= 1, the others zeta(k) for k >= 2
+        lift = 1 if kind == "c" else 0
+        zetas = mpcore._zeta_rounded(top + lift, working) if len(wanted) > 1 else None
         xs = [0] * (top + 1)
         with workdps(working):
-            for k in range(1 if kind == "c" else 2, top + 1):
-                xs[k] = _to_fixed(_input(kind, k, working, q), bits)
-    wanted = set(ns)
+            for k in range(2 - lift, top + 1):
+                zeta = zetas[k + lift] if zetas else None
+                xs[k] = _to_fixed(_input(kind, k, working, q, zeta), bits)
     if 2 * len(wanted) > top:
         sums = _difference_table(xs, wanted)
     else:
@@ -396,10 +409,10 @@ def sequence_many(
 
     The working precision is sized for the largest index, so every value
     equals the single call at that budget bit for bit.  Binomial routes read
-    each input once (zeta values from `mpcore.zeta_int`, Hurwitz values
-    from one fixed-point table) and run the exact kernel once for the whole
-    batch; the rearranged routes (delta 'series', d 'moebius')
-    go index by index.  The shift of A and a defaults to (1, 1) and the
+    each input once (zeta values rounded from one fixed-point table to the
+    bits `mpcore.zeta_int` returns, Hurwitz values from one such table) and
+    run the exact kernel once for the whole batch; the rearranged routes
+    (delta 'series', d 'moebius') go index by index.  The shift of A and a defaults to (1, 1) and the
     method to 'binomial'.  `threads` is accepted for compatibility and changes
     nothing: the batch is integer arithmetic that threads cannot share under
     the interpreter lock, so it runs in the calling thread.

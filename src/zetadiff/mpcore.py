@@ -14,7 +14,10 @@ targets get inflated into working budgets.
 
 Hurwitz values are not cached: `_hurwitz_fixed` builds a table of
 zeta(l, m/k)/k^l, l <= N, in one fixed-point pass, each entry a function of
-(l, m, k, P) alone and within 2 units of 2^-P.
+(l, m, k, P) alone and within 2 units of 2^-P.  `_zeta_rounded` rounds the
+m = k = 1 table to the bits `zeta_int` returns, for batches; an entry the
+table cannot decide falls back to `zeta_int`.  The table's Euler-Maclaurin
+tail takes exact Bernoulli numbers from `_bernoulli_even`.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from fractions import Fraction
 
 import mpmath
 from mpmath import mpf, mpc, workdps
-from mpmath.libmp import dps_to_prec, from_rational, round_nearest
+from mpmath.libmp import dps_to_prec, from_man_exp, from_rational, round_nearest
 
 from .errors import DomainError, TruncationBoundError
 from .precision import digits
@@ -145,8 +148,9 @@ def _hurwitz_fixed(top: int, m: int, k: int, bits: int, bottom: int = 2) -> list
         i = 1
         while True:
             if len(coeffs) < i:
-                p, q = mpmath.bernfrac(2 * i)
-                coeffs.append((p * k ** (2 * i - 1), q * math.factorial(2 * i)))
+                bern = _bernoulli_even(2 * i)
+                coeffs.append((bern.numerator * k ** (2 * i - 1),
+                               bern.denominator * math.factorial(2 * i)))
             num, den = coeffs[i - 1]
             s += ((num * poch) << Q) // (den * den_pow)
             M = 2 * i
@@ -164,6 +168,65 @@ def _hurwitz_fixed(top: int, m: int, k: int, bits: int, bottom: int = 2) -> list
     return [v >> guard for v in out]
 
 
+# B_2, B_4, ... as Fractions; grows by rebinding, never in place, so a thread
+# reads either the old tuple or the new one, and both hold exact values
+_BERNOULLI: tuple = ()
+
+
+def _bernoulli_even(n: int) -> Fraction:
+    """B_n for even n >= 2, exact, from the integer tangent numbers T_i
+    (Brent and Harvey 2011, O(i^2) integer operations):
+    B_2i = (-1)^(i-1) 2i T_i / (4^i (4^i - 1)).
+    """
+    global _BERNOULLI
+    i = n // 2
+    table = _BERNOULLI
+    if len(table) < i:
+        count = max(i, 2 * len(table))
+        t = [0, 1] + [0] * (count - 1)  # t[j] = T_j
+        for j in range(2, count + 1):
+            t[j] = (j - 1) * t[j - 1]
+        for j in range(2, count + 1):
+            for h in range(j, count + 1):
+                t[h] = (h - j) * t[h - 1] + (h - j + 2) * t[h]
+        table = _BERNOULLI = tuple(
+            Fraction((-1) ** (j - 1) * 2 * j * t[j], 4**j * (4**j - 1)) for j in range(1, count + 1)
+        )
+    return table[i - 1]
+
+
+def _zeta_rounded(top: int, working: int, window: int = 3) -> list:
+    """[zeta(k)] for 2 <= k <= top (None below) as `zeta_int(k, working)` returns it.
+
+    X_k of `_hurwitz_fixed(top, 1, 1, P)`, P = `_fixed_bits(working)`, lies
+    within 2 units of 2^P zeta(k), which is in (2^P, 2^(P+1)), so rounding
+    to prec = dps_to_prec(working) bits is one integer shift of X_k by
+    P - prec + 1.  This assumes that mpmath rounds once to prec bits
+    a value it computed within 1 unit of 2^-P of zeta(k): it works at prec +
+    20 bits, 10 bits finer than P.  Then mpmath's input to that rounding lies
+    in [X_k - 3, X_k + 3], and where both ends round to the same mantissa,
+    that mantissa is mpmath's.  Any other k, near a tie, is read from
+    `zeta_int`.  `window` is the 3 units of that interval.
+    """
+    prec = dps_to_prec(working)
+    bits = _fixed_bits(working)
+    shift = bits - prec + 1
+    half = 1 << (shift - 1)
+
+    def nearest(x):  # x / 2^shift to nearest, ties to even, as mpmath rounds
+        q, r = x >> shift, x & ((1 << shift) - 1)
+        return q + 1 if r > half or (r == half and q & 1) else q
+
+    out = [None, None]
+    for k, x in enumerate(_hurwitz_fixed(top, 1, 1, bits)[2:], 2):
+        man = nearest(x - window)
+        if man == nearest(x + window):
+            out.append(mpmath.mp.make_mpf(from_man_exp(man, 1 - prec)))
+        else:
+            out.append(zeta_int(k, working))
+    return out
+
+
 def _fixed_bits(working: int) -> int:
     """Fraction bits P of the fixed-point kernel at `working` digits."""
     return dps_to_prec(working) + 10
@@ -171,9 +234,10 @@ def _fixed_bits(working: int) -> int:
 
 def _from_fixed(num: int, bits: int, working: int, den: int = 1) -> mpf:
     """num / (den 2^bits), rounded once to `working` digits."""
-    return mpmath.mp.make_mpf(
-        from_rational(num, den << bits, dps_to_prec(working), round_nearest)
-    )
+    prec = dps_to_prec(working)
+    if den == 1:  # exact num 2^-bits, rounded as from_rational rounds it
+        return mpmath.mp.make_mpf(from_man_exp(num, -bits, prec, round_nearest))
+    return mpmath.mp.make_mpf(from_rational(num, den << bits, prec, round_nearest))
 
 
 def euler_gamma(prec=None) -> mpf:

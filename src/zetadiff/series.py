@@ -115,6 +115,30 @@ def _refuse_growing_tail(s, N: int) -> None:
         )
 
 
+def _below_envelope(bn, n: int, working: int) -> bool:
+    """True if float64 shows |b_n| <= envelope_bound(n, working) for n >= 2.
+
+    Let L = log B(n), B(n) = 2 (2n/pi)^(1/4) e^(-2 sqrt(pi n)), and write b_n
+    = man 2^e with man of bc bits, t = max(0, bc - 53).  Then
+    log|b_n| = log(man >> t) + (e + t) log 2 is computed within 2^-52 (the
+    cut) + 8e-15 (an ulp of a log below 37) + 2^-51 |e + t| log 2, so within
+    1e-14 + 2^-50 (|log|b_n|| + 40); L within 2^-48 (|L| + 1), as its three
+    terms' absolute values sum to under 3 |L| + 1.  envelope_bound rounds
+    about eight operations at prec > 3.3 working bits, so its log is within
+    2^(4-prec) (|L| + 1) <= 10^(2-working) (|L| + 1) of L.  Hence if |b_n| is
+    at or above it, either b_n > 1 or |log|b_n|| < 2 |L| + 1, and either way
+    the float gap below exceeds -(1e-9 + 10^(2-working)) (|L| + 1): this
+    returns True only where the exact comparison would not raise.
+    """
+    _, man, exp, bc = bn._mpf_
+    if not man:
+        return bn == 0
+    cut = max(0, bc - 53)
+    log_b = math.log(man >> cut) + (exp + cut) * math.log(2)
+    log_env = math.log(2) + 0.25 * math.log(2 * n / math.pi) - 2 * math.sqrt(math.pi * n)
+    return log_b < log_env - (1e-9 + 10.0 ** (2 - working)) * (abs(log_env) + 1)
+
+
 def newton_eval(s, N: int, prec: PrecisionBudget | int = 15):
     """Partial Newton sum of order N at complex s with a tail certificate.
 
@@ -143,7 +167,8 @@ def newton_eval(s, N: int, prec: PrecisionBudget | int = 15):
         terms = []
         for n in range(N + 1):
             bn = points[n].value
-            if n >= 2 and abs(bn) > envelope_bound(n, working):
+            if (n >= 2 and not _below_envelope(bn, n, working)
+                    and abs(bn) > envelope_bound(n, working)):
                 # certificate premise broken; never return an invalid bound
                 raise TruncationBoundError(
                     f"|b_{n}| exceeds its proven envelope; tail certificate void"

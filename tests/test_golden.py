@@ -6,7 +6,10 @@ The second group covers every other command and both renderers (CSV and
 JSON tables, text and JSON reports); it was captured before the verify checks
 and the command dispatch became tables.  The last group (the Rice lines at
 n = 10 and 20, and `verify full`) was captured before the Rice lines' start
-grids lost their panels narrower than the working precision needs.
+grids lost their panels narrower than the working precision needs.  The
+four long batches (c, d, a Newton sum and a sign census) were captured
+before batches took their zeta inputs from the fixed-point table; the
+census at n = 1000 reads one input near a rounding tie from mpmath.
 """
 
 from pathlib import Path
@@ -45,6 +48,10 @@ COMMANDS = {
     "verify-full": "verify full",
     "signs-200-json": "signs --n 200 --format json",
     "seq-b-1-8-json": "seq b --n 1..8 --format json",
+    "seq-c-600-25": "seq c --n 1..600 --digits 25",
+    "seq-d-600": "seq d --n 2..600",
+    "newton-half-500": "newton --s 0.5 --n 500",
+    "signs-1000": "signs --n 1000",
 }
 
 

@@ -1,12 +1,14 @@
 """Multiprecision primitive layer: caches, special values, reflection."""
 
 import math
+import random
+from fractions import Fraction
 
 import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mpf, workdps
-from mpmath.libmp import dps_to_prec
+from mpmath.libmp import dps_to_prec, from_rational, round_nearest
 
 from zetadiff import mpcore
 from zetadiff.errors import DomainError
@@ -146,3 +148,66 @@ def test_rational_shift_validation_and_values():
         mpcore.RationalShift(0, 3)
     with pytest.raises(DomainError):
         mpcore.RationalShift(4, 3)
+
+
+def _zeta_int_calls(monkeypatch):
+    """Record the exponents of every `mpcore.zeta_int` call from here on."""
+    calls, original = [], mpcore.zeta_int
+
+    def counted(ell, prec=None):
+        calls.append(ell)
+        return original(ell, prec)
+
+    monkeypatch.setattr(mpcore, "zeta_int", counted)
+    return calls
+
+
+@pytest.mark.parametrize("digits", [10, 30, 60, 153, 250])
+def test_zeta_rounded_equals_zeta_int_bit_for_bit(digits):
+    table = mpcore._zeta_rounded(600, digits)
+    assert table[:2] == [None, None] and len(table) == 601
+    for k in range(2, 601):
+        assert table[k]._mpf_ == mpcore.zeta_int(k, digits)._mpf_, k
+
+
+def test_zeta_rounded_wide_window_falls_back_with_the_same_bits(monkeypatch):
+    decided = mpcore._zeta_rounded(120, 40)
+    calls = _zeta_int_calls(monkeypatch)
+    # a window wider than the rounding step leaves every entry undecided
+    forced = mpcore._zeta_rounded(120, 40, window=1 << 20)
+    assert calls == list(range(2, 121))
+    assert [z._mpf_ for z in forced[2:]] == [z._mpf_ for z in decided[2:]]
+
+
+def test_batch_near_a_tie_takes_the_fallback(monkeypatch):
+    from zetadiff import differences
+
+    calls = _zeta_int_calls(monkeypatch)
+    differences.sequence_many("b", list(range(1, 2001)), 15)
+    # five of the 1,999 inputs of this batch lie within the window of a tie
+    assert calls == [279, 673, 775, 777, 1205]
+
+
+def test_bernoulli_even_equals_bernfrac():
+    for n in range(2, 401, 2):
+        assert mpcore._bernoulli_even(n) == Fraction(*mpmath.bernfrac(n)), n
+
+
+def test_from_fixed_rounds_as_from_rational():
+    working, bits = 12, 80
+    prec = dps_to_prec(working)
+    step = bits - prec + 1  # ulp of a value in [1, 2), in units of 2^-bits
+    man = (1 << (prec - 1)) + 12345
+    cases = [
+        (man << step) + (1 << (step - 1)),  # tie, odd mantissa: rounds up
+        ((man + 1) << step) + (1 << (step - 1)),  # tie, even mantissa: stays
+        (man << step) + (1 << (step - 1)) - 1,
+        (man << step) + (1 << (step - 1)) + 1,
+        0, 1, -1, 7 << 200, -(3 ** 90),
+    ]
+    rng = random.Random(11)
+    cases += [rng.randrange(-(1 << 300), 1 << 300) >> rng.randrange(300) for _ in range(2000)]
+    for num in cases:
+        for sign in (1, -1):
+            want = from_rational(sign * num, 1 << bits, prec, round_nearest)
+            assert mpcore._from_fixed(sign * num, bits, working)._mpf_ == want, num

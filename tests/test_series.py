@@ -163,3 +163,27 @@ def test_gf_order_domain():
     for maker in (series.ogf_coeffs, series.egf_coeffs):
         with pytest.raises(DomainError):
             maker(1)
+
+
+def test_newton_checks_clear_envelope_cases_without_mpmath(monkeypatch):
+    calls = []
+    monkeypatch.setattr(series, "envelope_bound", lambda *args: calls.append(args))
+    series.newton_eval(mpf("0.5"), 300, 15)
+    assert calls == []
+
+
+def test_newton_raises_for_b_n_just_above_its_envelope(monkeypatch):
+    from zetadiff.asymptotics import envelope_bound
+
+    real = differences.sequence_many
+
+    def one_b_n_above(kind, ns, target_digits=15, **kwargs):
+        points = real(kind, ns, target_digits, **kwargs)
+        with workdps(target_digits):
+            above = -envelope_bound(40, target_digits) * (1 + mpf(10) ** -20)
+        points[40] = differences.SequencePoint(40, above, "binomial", target_digits)
+        return points
+
+    monkeypatch.setattr(differences, "sequence_many", one_b_n_above)
+    with pytest.raises(TruncationBoundError, match="b_40"):
+        series.newton_eval(mpf("0.5"), 60, 20)
