@@ -24,19 +24,16 @@ P = dps_to_prec(w) + 10 bits at the working digits w.  Its inputs are
 integers: floor(x_k 2^P) of zeta(k), 1/zeta(k) or zeta(k+1)/(k+1) as mpfs
 at w digits, and for A and a the entries of `mpcore._hurwitz_fixed`, proven
 within 2 units of 2^-P of zeta(l, m/k)/k^l itself.  zeta(k) is the mpf
-`mpcore.zeta_int` returns: a single index reads it there, and a batch reads
-the same bits from `mpcore._zeta_rounded`, one fixed-point table rounded
-once (mpmath only near a rounding tie); 1/zeta(k) and zeta(k+1)/(k+1) are
-one correctly rounded mpf division of it, so both routes give the same
-integers.  S_n = sum_k C(n,k) (-1)^k X_k is exact, so for A_n
-it is within 2^(n+1) units of 2^P A_n; the budget's cancellation digits cover
-that.  b_n and a_n are assembled in the same fixed point
-with exact harmonic numbers, and every value is rounded once, to w digits.
-A single index costs one dot product with C(n,k).  A batch
-(`sequence_many`) reads each input once and, for a dense index set, takes
-every S_n from one difference table in O(N^2/2) integer subtractions.  Both
-routes give the same integers, so batch values equal single-call values at
-the same budget bit for bit.
+`mpcore.zeta_int` returns, read for one index or many from
+`mpcore._zeta_rounded`: one grow-only fixed-point table, rounded once
+(mpmath only near a rounding tie).  S_n = sum_k C(n,k) (-1)^k X_k is exact,
+so for A_n it is within 2^(n+1) units of 2^P A_n; the budget's cancellation
+digits cover that.  b_n and a_n are assembled in the same fixed point with
+exact harmonic numbers, and every value is rounded once, to w digits.  A
+single index costs one dot product with C(n,k).  A batch (`sequence_many`)
+reads each input once and, for a dense index set, takes every S_n from one
+difference table in O(N^2/2) integer subtractions.  Both routes give the
+same integers, so batch values equal single-call values bit for bit.
 """
 
 from __future__ import annotations
@@ -149,16 +146,8 @@ def _binomial_sum(n: int, xs: list, working: int) -> mpf:
     return _from_fixed(_binomial_dot(n, [_to_fixed(x, bits) for x in xs]), bits, working)
 
 
-def _input(kind: str, k: int, working: int, q, zeta: mpf | None = None) -> mpf:
-    """x_k of the kind's alternating sum as an mpf (k >= 2; k >= 1 for c).
-
-    `zeta` is zeta(k) (zeta(k+1) for c) as `mpcore.zeta_int` returns it, when
-    the caller has it already.
-    """
-    if kind in ("A", "a"):
-        return mpcore.hurwitz_int(k, q, working) / mpf(q.k) ** k
-    if zeta is None:
-        zeta = mpcore.zeta_int(k + 1 if kind == "c" else k, working)
+def _input(kind: str, k: int, zeta: mpf) -> mpf:
+    """x_k from zeta = zeta(k) (zeta(k+1) for c): zeta, 1/zeta or zeta/(k+1)."""
     if kind == "c":
         return zeta / (k + 1)
     if kind == "d":
@@ -186,12 +175,10 @@ def _kernel(kind: str, ns, working: int, q=None) -> dict[int, mpf]:
     else:
         # c reads zeta(k+1) for k >= 1, the others zeta(k) for k >= 2
         lift = 1 if kind == "c" else 0
-        zetas = mpcore._zeta_rounded(top + lift, working) if len(wanted) > 1 else None
         xs = [0] * (top + 1)
         with workdps(working):
-            for k in range(2 - lift, top + 1):
-                zeta = zetas[k + lift] if zetas else None
-                xs[k] = _to_fixed(_input(kind, k, working, q, zeta), bits)
+            for k, z in enumerate(mpcore._zeta_rounded(top + lift, working)[2:], 2 - lift):
+                xs[k] = _to_fixed(_input(kind, k, z), bits)
     if 2 * len(wanted) > top:
         sums = _difference_table(xs, wanted)
     else:
@@ -343,7 +330,7 @@ def _mobius_tails(L: int, top: int, working: int) -> list:
     T_j ~ (L+1)^-j is a difference of O(1) numbers, so both are formed at the
     kernel bits of the largest lift, working + top log10(L+1) + 10 digits: the
     partial sums in one pass of floor(floor(2^P/l^(j-1))/l) = floor(2^P/l^j)
-    (within L units), 1/zeta(j) once per j at the lifted digits.
+    (within L units), 1/zeta(j) at the lifted digits from `mpcore._zeta_rounded`.
     """
     mu = _mobius_table(L)
     lifted = working + math.ceil(top * math.log10(L + 1)) + 10
@@ -360,8 +347,8 @@ def _mobius_tails(L: int, top: int, working: int) -> list:
                 part[j] += mu[ell] * t
     with workdps(lifted):
         return [None, None] + [
-            _from_fixed(_to_fixed(1 / mpmath.zeta(j), bits) - part[j], bits, working)
-            for j in range(2, top + 1)
+            _from_fixed(_to_fixed(1 / z, bits) - part[j], bits, working)
+            for j, z in enumerate(mpcore._zeta_rounded(top, lifted)[2:], 2)
         ]
 
 
@@ -409,13 +396,14 @@ def sequence_many(
 
     The working precision is sized for the largest index, so every value
     equals the single call at that budget bit for bit.  Binomial routes read
-    each input once (zeta values rounded from one fixed-point table to the
-    bits `mpcore.zeta_int` returns, Hurwitz values from one such table) and
+    each input once, as a single call does (zeta values from
+    `mpcore._zeta_rounded`, Hurwitz values from `mpcore._hurwitz_fixed`), and
     run the exact kernel once for the whole batch; the rearranged routes
-    (delta 'series', d 'moebius') go index by index.  The shift of A and a defaults to (1, 1) and the
-    method to 'binomial'.  `threads` is accepted for compatibility and changes
-    nothing: the batch is integer arithmetic that threads cannot share under
-    the interpreter lock, so it runs in the calling thread.
+    (delta 'series', d 'moebius') go index by index.  The shift of A and a
+    defaults to (1, 1) and the method to 'binomial'.  `threads` is accepted
+    for compatibility and changes nothing: the batch is integer arithmetic
+    that threads cannot share under the interpreter lock, so it runs in the
+    calling thread.
     """
     return _evaluate(
         kind, ns, target_digits, (1, 1) if shift is None else shift,

@@ -14,10 +14,10 @@ targets get inflated into working budgets.
 
 Hurwitz values are not cached: `_hurwitz_fixed` builds a table of
 zeta(l, m/k)/k^l, l <= N, in one fixed-point pass, each entry a function of
-(l, m, k, P) alone and within 2 units of 2^-P.  `_zeta_rounded` rounds the
-m = k = 1 table to the bits `zeta_int` returns, for batches; an entry the
-table cannot decide falls back to `zeta_int`.  The table's Euler-Maclaurin
-tail takes exact Bernoulli numbers from `_bernoulli_even`.
+(l, m, k, P) alone and within 2 units of 2^-P.  `_zeta_rounded` rounds one
+grow-only m = k = 1 table to the bits `zeta_int` returns, for every sequence
+input; an entry it cannot decide falls back to `zeta_int`.  The table's
+Euler-Maclaurin tail takes exact Bernoulli numbers from `_bernoulli_even`.
 """
 
 from __future__ import annotations
@@ -195,21 +195,33 @@ def _bernoulli_even(n: int) -> Fraction:
     return table[i - 1]
 
 
+# (cbits, table) of `_zeta_rounded`; grows by rebinding, like _BERNOULLI
+_ZETA_FIXED: tuple = (0, ())
+
+
 def _zeta_rounded(top: int, working: int, window: int = 3) -> list:
     """[zeta(k)] for 2 <= k <= top (None below) as `zeta_int(k, working)` returns it.
 
-    X_k of `_hurwitz_fixed(top, 1, 1, P)`, P = `_fixed_bits(working)`, lies
-    within 2 units of 2^P zeta(k), which is in (2^P, 2^(P+1)), so rounding
-    to prec = dps_to_prec(working) bits is one integer shift of X_k by
-    P - prec + 1.  This assumes that mpmath rounds once to prec bits
-    a value it computed within 1 unit of 2^-P of zeta(k): it works at prec +
-    20 bits, 10 bits finer than P.  Then mpmath's input to that rounding lies
-    in [X_k - 3, X_k + 3], and where both ends round to the same mantissa,
-    that mantissa is mpmath's.  Any other k, near a tie, is read from
-    `zeta_int`.  `window` is the 3 units of that interval.
+    `_ZETA_FIXED` holds `_hurwitz_fixed(t, 1, 1, cbits)` at the largest t and
+    cbits asked so far; a request past either rebuilds it at both maxima and
+    rebinds the whole tuple, never editing it (a thread race costs a rebuild).
+    X_k, the entry shifted right by d = cbits - P, P = `_fixed_bits(working)`,
+    is within 2 units of 2^P zeta(k): 2/2^d + 1 = 1 + 2^(1-d) <= 2 for d >= 1.
+    As zeta(k) is in (1, 2), rounding to prec = dps_to_prec(working) bits
+    shifts X_k by P - prec + 1.  This assumes that mpmath rounds once to prec
+    bits a value it computed within 1 unit of 2^-P of zeta(k) (it works at
+    prec + 20 bits, 10 finer than P), so its input to that rounding lies in
+    [X_k - 3, X_k + 3]; where both ends round alike, that mantissa is mpmath's.
+    Any other k, near a tie, is read from `zeta_int`; `window` is the 3 units.
     """
+    global _ZETA_FIXED
     prec = dps_to_prec(working)
     bits = _fixed_bits(working)
+    cbits, table = _ZETA_FIXED
+    if cbits < bits or len(table) <= top:
+        cbits = max(cbits, bits)
+        table = tuple(_hurwitz_fixed(max(top, len(table) - 1), 1, 1, cbits))
+        _ZETA_FIXED = (cbits, table)
     shift = bits - prec + 1
     half = 1 << (shift - 1)
 
@@ -218,7 +230,8 @@ def _zeta_rounded(top: int, working: int, window: int = 3) -> list:
         return q + 1 if r > half or (r == half and q & 1) else q
 
     out = [None, None]
-    for k, x in enumerate(_hurwitz_fixed(top, 1, 1, bits)[2:], 2):
+    for k in range(2, top + 1):
+        x = table[k] >> (cbits - bits)
         man = nearest(x - window)
         if man == nearest(x + window):
             out.append(mpmath.mp.make_mpf(from_man_exp(man, 1 - prec)))

@@ -255,9 +255,9 @@ def ogf_coeffs(M: int, prec: PrecisionBudget | int = 30) -> TruncatedSeries:
     with workdps(working):
         u = TruncatedSeries((mpf(0),) + (mpf(1),) * M)
         acc = TruncatedSeries((mpf(0),) * (M + 1))
+        zetas = mpcore._zeta_rounded(M + 1, working)
         for k in range(M, 0, -1):
-            ck = mpcore.zeta_int(k + 1, working)
-            acc = (acc + (ck if k % 2 == 1 else -ck)) * u
+            acc = (acc + (zetas[k + 1] if k % 2 == 1 else -zetas[k + 1])) * u
         prefactor = TruncatedSeries(tuple(mpf(n) for n in range(M + 1)))
         return acc * prefactor
 
@@ -275,8 +275,7 @@ def egf_coeffs(M: int, prec: PrecisionBudget | int = 30) -> TruncatedSeries:
         for n in range(1, M + 1):
             fact.append(fact[-1] * n)
         inner = [mpf(0), mpf(0)]
-        for n in range(2, M + 1):
-            zn = mpcore.zeta_int(n, working)
+        for n, zn in enumerate(mpcore._zeta_rounded(M, working)[2:], 2):
             inner.append(zn / fact[n] if n % 2 == 0 else -zn / fact[n])
         expo = TruncatedSeries(tuple(1 / fact[n] for n in range(M + 1)))
         return TruncatedSeries(tuple(inner)) * expo

@@ -223,3 +223,38 @@ def test_library_calls_leave_mp_precision_unchanged():
 def test_nonpositive_precision_is_a_domain_error(call, prec):
     with pytest.raises(DomainError):
         call(prec)
+
+
+# (kind, method, n, digits) read from the zeta table at several widths
+MEMO_CASES = [
+    ("b", None, 300, 15), ("b", None, 40, 60), ("delta", "binomial", 200, 25),
+    ("d", "binomial", 150, 12), ("d", "moebius", 60, 20), ("c", None, 350, 40),
+]
+
+
+def _memo_case_value(kind, method, n, digits):
+    call = getattr(differences, kind)
+    return (call(n, digits, method=method) if method else call(n, digits)).value._mpf_
+
+
+def test_single_calls_do_not_depend_on_the_zeta_table_memo(monkeypatch):
+    cold = []
+    for case in MEMO_CASES:  # each case from an empty memo
+        monkeypatch.setattr(mpcore, "_ZETA_FIXED", (0, ()))
+        cold.append(_memo_case_value(*case))
+    mpcore._zeta_rounded(1200, 400)  # longer and wider than any case needs
+    assert mpcore._ZETA_FIXED[0] > mpcore._fixed_bits(200)
+    assert [_memo_case_value(*case) for case in MEMO_CASES] == cold
+
+
+def test_single_large_index_reads_the_zeta_table(monkeypatch):
+    monkeypatch.setattr(mpcore, "_ZETA_FIXED", (0, ()))
+    calls, original = [], mpcore.zeta_int
+
+    def counted(ell, prec=None):
+        calls.append(ell)
+        return original(ell, prec)
+
+    monkeypatch.setattr(mpcore, "zeta_int", counted)
+    differences.b(1000, 15)
+    assert len(calls) <= 10  # only the inputs near a rounding tie

@@ -9,7 +9,9 @@ n = 10 and 20, and `verify full`) was captured before the Rice lines' start
 grids lost their panels narrower than the working precision needs.  The
 four long batches (c, d, a Newton sum and a sign census) were captured
 before batches took their zeta inputs from the fixed-point table; the
-census at n = 1000 reads one input near a rounding tie from mpmath.
+census at n = 1000 reads one input near a rounding tie from mpmath.  The
+three single-index commands at the end were captured before a single index
+read its zeta inputs from the fixed-point table as well.
 """
 
 from pathlib import Path
@@ -52,6 +54,9 @@ COMMANDS = {
     "seq-d-600": "seq d --n 2..600",
     "newton-half-500": "newton --s 0.5 --n 500",
     "signs-1000": "signs --n 1000",
+    "seq-b-700-20": "seq b --n 700 --digits 20",
+    "seq-c-350-40": "seq c --n 350 --digits 40",
+    "seq-d-90-moebius-30": "seq d --n 90 --method moebius --digits 30",
 }
 
 

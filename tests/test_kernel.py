@@ -3,7 +3,7 @@
 from hypothesis import given, settings, strategies as st
 from mpmath import mpf, workdps
 
-from zetadiff import differences
+from zetadiff import differences, mpcore
 from zetadiff.mpcore import RationalShift
 from zetadiff.precision import PrecisionBudget, required_working_digits, smallness_digits
 
@@ -50,7 +50,10 @@ def test_kernel_batch_single_and_precision_agree(case, n, target, data):
     with workdps(working):
         xs = [mpf(0)] * (m + 1)
         for j in range(1 if kind == "c" else 2, m + 1):
-            xs[j] = differences._input(kind, j, working, q)
+            if q:
+                xs[j] = mpcore.hurwitz_int(j, q, working) / mpf(q.k) ** j
+            else:
+                xs[j] = differences._input(kind, j, mpcore.zeta_int(j + (kind == "c"), working))
     coarse = differences._binomial_dot(m, [differences._to_fixed(x, bits) for x in xs])
     fine = differences._binomial_dot(m, [differences._to_fixed(x, bits + 64) for x in xs])
     assert abs((coarse << 64) - fine) <= (2 ** m << 64) + 2 ** m

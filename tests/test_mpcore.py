@@ -211,3 +211,65 @@ def test_from_fixed_rounds_as_from_rational():
         for sign in (1, -1):
             want = from_rational(sign * num, 1 << bits, prec, round_nearest)
             assert mpcore._from_fixed(sign * num, bits, working)._mpf_ == want, num
+
+
+def test_zeta_table_memo_keeps_the_largest_top_and_bits(monkeypatch):
+    monkeypatch.setattr(mpcore, "_ZETA_FIXED", (0, ()))
+    mpcore._zeta_rounded(50, 30)
+    first = mpcore._ZETA_FIXED
+    mpcore._zeta_rounded(20, 60)  # more bits, fewer entries: rebuilt at both maxima
+    second = mpcore._ZETA_FIXED
+    assert (second[0], len(second[1])) == (mpcore._fixed_bits(60), 51)
+    # the first tuple was rebound away, not edited
+    assert (first[0], len(first[1])) == (mpcore._fixed_bits(30), 51)
+    mpcore._zeta_rounded(40, 20)  # inside both: read by shifting down
+    assert mpcore._ZETA_FIXED is second
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    k=st.integers(min_value=2, max_value=250),
+    working=st.integers(min_value=10, max_value=120),
+    down=st.sampled_from([0, 1, 7, 100]),
+)
+def test_zeta_fixed_entry_shifted_down_stays_within_two_units(k, working, down):
+    bits = mpcore._fixed_bits(working)
+    x = mpcore._hurwitz_fixed(k, 1, 1, bits + down)[k] >> down
+    with workdps(working + 40):
+        assert abs(x - mpmath.zeta(k) * mpf(2) ** bits) <= 2
+
+
+def test_zeta_rounded_from_threads_gives_zeta_int_bits(monkeypatch):
+    import sys
+    import threading
+
+    monkeypatch.setattr(mpcore, "_ZETA_FIXED", (0, ()))
+    # no entry of these lies near a tie, so no thread sets mpmath's precision
+    requests = [(120, 90), (60, 150), (150, 60), (40, 200)]
+    results = {r: [] for r in requests}
+    start = threading.Barrier(len(requests))
+
+    def run(i):  # every thread asks for every request, each from its own start
+        start.wait()
+        for top, working in (requests[i:] + requests[:i]) * 2:
+            results[top, working].append(mpcore._zeta_rounded(top, working))
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(requests))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for (top, working), tables in results.items():
+        want = [mpcore.zeta_int(k, working)._mpf_ for k in range(2, top + 1)]
+        assert len(tables) == 2 * len(requests)
+        for table in tables:
+            assert [z._mpf_ for z in table[2:]] == want
+    # whichever rebinding won, the memo is one whole table at one width
+    cbits, table = mpcore._ZETA_FIXED
+    assert list(table) == mpcore._hurwitz_fixed(len(table) - 1, 1, 1, cbits)
