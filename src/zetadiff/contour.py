@@ -22,14 +22,14 @@ Two families:
   sqrt(2 pi n)), and finishes with a vertical ray once Re s has dropped
   to c1 sqrt(n).
 
-Quadrature is composite Gauss-Legendre with cached nodes, pairwise
-summation of panel contributions, and an embedded error estimate: each
-panel's rule against one of half its degree.  A Rice line's automatic grid
-starts with panels whose widths double away from t = 0 (the integrands
-peak there and decay fast), but its first panel is never narrower than
-w0 = 10^(-working/degree): each integrand is analytic in the strip
-|Im t| < 1/2 around the line, so Gauss-Legendre converges geometrically on
-a panel of width w0 too.  The half-degree rule's error on a start panel
+Quadrature is composite Gauss-Legendre with cached nodes, exact sums
+(`mpmath.fsum`, rounded once) of the nodes and of the panel contributions,
+and an embedded error estimate: each panel's rule against one of half its
+degree.  A Rice line's automatic grid starts with panels whose widths
+double away from t = 0 (the integrands peak there and decay fast), but
+its first panel is never narrower than w0 = 10^(-working/degree): each
+integrand is analytic in the strip |Im t| < 1/2 around the line, so
+Gauss-Legendre converges geometrically on a panel of width w0 too.  The half-degree rule's error on a start panel
 of width w falls like (w/2)^degree, so at w0 it is already below the
 working precision, and narrower start panels only add mpmath evaluations.
 Every integral (the three Rice lines and both saddle pieces) also has a
@@ -168,19 +168,6 @@ def _legendre_nodes(degree: int, working: int):
         return tuple(half + [(-x, w) for x, w in reversed(half[: degree // 2])])
 
 
-def _pairwise_sum(values: list):
-    """Sum by pairwise reduction to keep rounding error O(log n) deep."""
-    if not values:
-        return mpf(0)
-    vals = list(values)
-    while len(vals) > 1:
-        nxt = [vals[i] + vals[i + 1] for i in range(0, len(vals) - 1, 2)]
-        if len(vals) % 2:
-            nxt.append(vals[-1])
-        vals = nxt
-    return vals[0]
-
-
 def _graded_boundaries(a, b, panels: int, min_width=0):
     """Panel boundaries on [a, b], widths doubling away from a; the interior
     boundaries closer than min_width to a are left out."""
@@ -191,17 +178,10 @@ def _graded_boundaries(a, b, panels: int, min_width=0):
     return bounds[:1] + [x for x in bounds[1:-1] if x - a >= min_width] + bounds[-1:]
 
 
-def _uniform_boundaries(a, b, panels: int):
-    a = mpf(a)
-    b = mpf(b)
-    return [a + (b - a) * mpf(k) / panels for k in range(panels + 1)]
-
-
 def _gl_panel(f, a, b, rule):
     mid = (a + b) / 2
     half = (b - a) / 2
-    terms = [w * f(mid + half * x) for x, w in rule]
-    return half * _pairwise_sum(terms)
+    return half * mpmath.fsum(w * f(mid + half * x) for x, w in rule)
 
 
 def _embedded_rules(degree: int, working: int):
@@ -280,11 +260,8 @@ def _adaptive_quad(f, boundaries, rule_hi, rule_lo, tol_abs, max_panels=3000, g=
 
     steps = 0
     while len(panels) < max_panels and heap and err > tol_abs:
-        neg_delta, key = heapq.heappop(heap)
-        rec = panels.get(key)
-        if rec is None:
-            continue
-        a, b, _, delta, _ = rec
+        _, key = heapq.heappop(heap)
+        a, b, _, delta, _ = panels[key]
         if delta <= tol_abs / (4 * max(1, len(panels))):
             break  # worst panel is already negligible; the rest are smaller
         mid = (a + b) / 2
@@ -298,15 +275,14 @@ def _adaptive_quad(f, boundaries, rule_hi, rule_lo, tol_abs, max_panels=3000, g=
             serial += 1
         steps += 1
         if steps % 128 == 0:  # refresh the running error against drift
-            err = _pairwise_sum([rec[3] for rec in panels.values()])
+            err = mpmath.fsum(rec[3] for rec in panels.values())
 
-    ordered = sorted(panels.values(), key=lambda rec: (rec[0], rec[1]))
-    value = _pairwise_sum([rec[2] for rec in ordered])
-    err = _pairwise_sum([rec[3] for rec in ordered])
+    value = mpmath.fsum(rec[2] for rec in panels.values())
+    err = mpmath.fsum(rec[3] for rec in panels.values())
     if len(panels) >= max_panels and err > tol_abs:
         raise TruncationBoundError(f"quadrature used its budget of {max_panels} panels with "
                                    f"error {mpmath.nstr(err, 3)} > {mpmath.nstr(tol_abs, 3)}")
-    return value, err + _pairwise_sum([rec[4] for rec in ordered])
+    return value, err + mpmath.fsum(rec[4] for rec in panels.values())
 
 
 def _osc_boundaries(t0: float, T: float, freq, capacity: float):
@@ -407,7 +383,7 @@ def _line_data(kind: str, n: int, target: int):
             lg_fact = math.lgamma(n + 1)
 
             def g(t, dt):
-                return _left_line_float(t, 1.5, n, lg_fact)
+                return _left_line_float(t, 1.5, n, lg_fact, dt)
 
             # |zeta(-1/2+it)| <= zeta(3/2) sqrt(1/4+t^2) / (2 pi): the
             # reflection factor has |chi(-1/2+it)| = sqrt(1/4+t^2)/(2 pi)
@@ -614,7 +590,7 @@ def saddle_contour_integral(n: int, prec=15, spec: ContourSpec | None = None) ->
         xl = float(x_left)
 
         evaluations = [0, 0]  # both pieces
-        slant_bounds = _uniform_boundaries(0, u_end, base)
+        slant_bounds = mpmath.linspace(0, u_end, base + 1)
         slant, err_s = _adaptive_quad(
             lambda u: F(x_cross + u * e_dir) * e_dir, slant_bounds, rule_hi, rule_lo, tol_abs / 4,
             g=_slant_float(float(x_cross), complex(e_dir), n, ln_fact_f), evaluations=evaluations,

@@ -217,7 +217,7 @@ def _rearranged(L: int, working: int, target: int, mobius: bool, head, coeffs) -
     expansion is exact.  The tail stops once the next-term bound
     2 c_j ((L+1)^-j + L^(1-j)/(j-1)) is below 10^-(target+5) max(1, |head|).
     """
-    mu = _mobius_table(L) if mobius else None
+    mu = mpcore.mobius_upto(L) if mobius else None
     with workdps(working):
         acc = mpf(0)
         for ell in range(1, L + 1):
@@ -232,7 +232,7 @@ def _rearranged(L: int, working: int, target: int, mobius: bool, head, coeffs) -
             cs.append(c)
         top = len(cs) + 1
         if mobius:
-            tails = _mobius_tails(L, top, working)
+            tails = _mobius_tails(mu, top, working)
         else:
             tails = [None, None] + [mpcore.hurwitz_int(j, L + 1, working) for j in range(2, top + 1)]
         for j, c in enumerate(cs, 2):
@@ -314,25 +314,16 @@ def dirichlet_diff(chi: CharacterTable, n: int, prec: PrecisionBudget | int = 15
         return +acc
 
 
-_MOBIUS_TABLE: list[int] = []
-
-
-def _mobius_table(limit: int) -> list[int]:
-    global _MOBIUS_TABLE
-    if len(_MOBIUS_TABLE) <= limit:
-        _MOBIUS_TABLE = mpcore.mobius_upto(max(limit, 64))
-    return _MOBIUS_TABLE
-
-
-def _mobius_tails(L: int, top: int, working: int) -> list:
-    """[T_j] for j <= top, T_j = sum_{l>L} mu(l) l^-j = 1/zeta(j) - sum_{l<=L} mu(l) l^-j.
+def _mobius_tails(mu: list[int], top: int, working: int) -> list:
+    """[T_j] for j <= top, T_j = sum_{l>L} mu(l) l^-j = 1/zeta(j) - sum_{l<=L} mu(l) l^-j,
+    where mu = mu(0..L).
 
     T_j ~ (L+1)^-j is a difference of O(1) numbers, so both are formed at the
     kernel bits of the largest lift, working + top log10(L+1) + 10 digits: the
     partial sums in one pass of floor(floor(2^P/l^(j-1))/l) = floor(2^P/l^j)
     (within L units), 1/zeta(j) at the lifted digits from `mpcore._zeta_rounded`.
     """
-    mu = _mobius_table(L)
+    L = len(mu) - 1
     lifted = working + math.ceil(top * math.log10(L + 1)) + 10
     bits = _fixed_bits(lifted)
     one = 1 << bits

@@ -7,9 +7,11 @@ float64 with a proven bound on the error: zeta by Euler-Maclaurin
 (`_zeta_float`), log Gamma by Stirling's series (`_loggamma_float`), and on
 them the integrand of each Rice line and of the saddle contour.  Every float
 integrand returns (value, bound), or None where its bound does not hold; the
-bound covers the rounding of the float node too.  This module holds float
-math only: which panels take the float tier is decided by the quadrature
-driver in `contour`.
+bound covers the rounding dt of the float node too, on every line and saddle
+piece.  The Dirichlet amplitudes k^-sigma come from one table per sigma and
+the Bernoulli numbers from `mpcore._bernoulli_even`.  This module holds
+float math only: which panels take the float tier is decided by the
+quadrature driver in `contour`.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ import math
 
 import mpmath
 from mpmath import workdps
+
+from .mpcore import _bernoulli_even
 
 _U = 2.0**-53  # unit roundoff of IEEE double
 _LN_2PI = math.log(2 * math.pi)
@@ -37,13 +41,10 @@ _LOG_DERIV_ZETA_2 = 0.57
 def _bernoulli_floats():
     """(B_2j (2 pi)^2j / (2j)!,  B_2j / (2j (2j-1))) for j = 1.._EM_TERMS."""
     with workdps(30):
-        return tuple(
-            (
-                float(mpmath.bernoulli(2 * j) * (2 * mpmath.pi) ** (2 * j) / mpmath.factorial(2 * j)),
-                float(mpmath.bernoulli(2 * j) / (2 * j * (2 * j - 1))),
-            )
-            for j in range(1, _EM_TERMS + 1)
-        )
+        bern = (+mpmath.fraction(b.numerator, b.denominator)
+                for b in map(_bernoulli_even, range(2, 2 * _EM_TERMS + 1, 2)))
+        return tuple((float(b * (2 * mpmath.pi) ** (2 * j) / mpmath.factorial(2 * j)),
+                      float(b / (2 * j * (2 * j - 1)))) for j, b in enumerate(bern, start=1))
 
 
 @functools.lru_cache(maxsize=8)
@@ -62,16 +63,15 @@ def _dirichlet_terms(sigma: float, size: int):
     return amps, sum_a, sum_al
 
 
-def _zeta_float(w: complex, fixed_sigma: bool = True) -> tuple[complex, float]:
+def _zeta_float(w: complex) -> tuple[complex, float]:
     """(zeta(w) in float64, bound on its error) for Re w > 1.
 
     Euler-Maclaurin with N ~ |w|/pi terms; its remainder after M corrections
     is at most 4 |(w)_2M| / (2 pi N)^2M N^(1-sigma) / (sigma+2M-1)
     (Johansson 2014, Thm 1).  The bound charges the phase t ln k of each
     k^(-w), including the rounding of t itself, the summation of the N head
-    terms and the products behind each correction term.  Where Re w stays
-    fixed the k^-sigma come from a table per sigma (`fixed_sigma`);
-    otherwise they are computed afresh and only ln k is tabled.
+    terms and the products behind each correction term.  The k^-sigma and
+    their running sums come from `_dirichlet_terms`, one table per sigma.
     """
     u = _U
     sigma, t = w.real, -w.imag
@@ -81,12 +81,8 @@ def _zeta_float(w: complex, fixed_sigma: bool = True) -> tuple[complex, float]:
     # tables come in power-of-two sizes, so a handful serve a whole contour
     size = 1 << (big_n - 1).bit_length()
     logs = _log_table(size)
-    if fixed_sigma:
-        amps, sum_a, sum_al = _dirichlet_terms(sigma, size)
-        s_a, s_al = sum_a[big_n - 1], sum_al[big_n - 1]
-    else:
-        amps = [k**-sigma for k in range(1, big_n)]
-        s_a, s_al = sum(amps), sum(a * lk for a, lk in zip(amps, logs))
+    amps, sum_a, sum_al = _dirichlet_terms(sigma, size)
+    s_a, s_al = sum_a[big_n - 1], sum_al[big_n - 1]
     cos, sin = math.cos, math.sin
     re = im = 0.0
     for a, lk in itertools.islice(zip(amps, logs), big_n - 1):
@@ -177,7 +173,8 @@ def _times_exp(z: complex, err_z: float, big_l: complex, err_l: float) -> tuple[
     return value, 1.25 * mag * (abs(z) * (err_l + 4 * _U) + err_z) * (1 + 2 * err_l)
 
 
-def _left_line_float(t: float, sigma: float, n: int, ln_fact: float) -> tuple[float, float] | None:
+def _left_line_float(t: float, sigma: float, n: int, ln_fact: float,
+                     dt: float = 0.0) -> tuple[float, float] | None:
     """(Re[zeta(s) K_n(s)] at s = 1 - sigma + i t in float64, bound on its error),
     or None below t = _FLOAT_T_MIN, where Stirling's series is not used.
 
@@ -190,7 +187,11 @@ def _left_line_float(t: float, sigma: float, n: int, ln_fact: float) -> tuple[fl
     * log K_n(s) = ln n! - sum_j log(s - j).
 
     The bound charges every float operation one unit roundoff per operand
-    magnitude, with margin, including the large terms of log chi.
+    magnitude, with margin, including the large terms of log chi.  A node
+    off by dt moves log(chi(s) zeta(w) K_n(s)) by at most dt (ln 2pi +
+    (pi/2) |cot(pi s/2)| + |psi(w)| + |zeta'/zeta(w)| + sum_j 1/|s - j|);
+    for t >= 16, |cot(pi s/2)| <= 1.01, |psi(w) - log w| <= 1/2 + 1/9 (Binet,
+    as in `_saddle_float`) and |zeta'/zeta(w)| < 1.51 at sigma = 3/2.
     """
     if t < _FLOAT_T_MIN:
         return None
@@ -215,6 +216,8 @@ def _left_line_float(t: float, sigma: float, n: int, ln_fact: float) -> tuple[fl
         + 8 * u * stirling_abs
         + rem_gamma
         + (n + 8) * u * (ln_fact + sum(abs(z) for z in log_k))
+        + 1.25 * dt * (_LN_2PI + 1.01 * math.pi / 2 + abs(log_w) + 0.62 + _LOG_DERIV_ZETA_3_2
+                       + sum(1 / abs(s - j) for j in range(n + 1)))
     )
     value, err = _times_exp(zeta_w, err_zeta, big_l, err_l)
     return value.real, err
@@ -249,7 +252,7 @@ def _rice_line_float(t: float, dt: float, n: int, ln_fact: float, inverse: bool)
     return value.real, err
 
 
-def _saddle_float(s: complex, ds: float, n: int, ln_fact: float, fixed_sigma: bool):
+def _saddle_float(s: complex, ds: float, n: int, ln_fact: float):
     """(F(s) of `_saddle_integrand` in float64, bound on its error) for a node
     known within ds, or None off Re s >= 3/2 or too near a zero of sin(pi s/2).
 
@@ -291,7 +294,7 @@ def _saddle_float(s: complex, ds: float, n: int, ln_fact: float, fixed_sigma: bo
         + 12 * u * sum(abs(x) for x in terms)
         + 1.25 * ds1 * deriv
     )
-    z, err_z = _zeta_float(1 + s, fixed_sigma)
+    z, err_z = _zeta_float(1 + s)
     return _times_exp(z, err_z, big_l, err_l)
 
 
@@ -302,7 +305,7 @@ def _slant_float(x0: float, e0: complex, n: int, ln_fact: float):
 
     def g(r, dr):
         s = x0 + r * e0
-        got = _saddle_float(s, dr + 4 * _U * (abs(r) + abs(s) + x0), n, ln_fact, False)
+        got = _saddle_float(s, dr + 4 * _U * (abs(r) + abs(s) + x0), n, ln_fact)
         if got is None:
             return None
         v, e = got
@@ -316,7 +319,7 @@ def _ray_float(xl: float, n: int, ln_fact: float):
     F(s) i and its bound."""
 
     def g(t, dt):
-        got = _saddle_float(complex(xl, t), dt + _U * xl, n, ln_fact, True)
+        got = _saddle_float(complex(xl, t), dt + _U * xl, n, ln_fact)
         if got is None:
             return None
         v, e = got

@@ -207,12 +207,13 @@ def _zeta_rounded(top: int, working: int, window: int = 3) -> list:
     rebinds the whole tuple, never editing it (a thread race costs a rebuild).
     X_k, the entry shifted right by d = cbits - P, P = `_fixed_bits(working)`,
     is within 2 units of 2^P zeta(k): 2/2^d + 1 = 1 + 2^(1-d) <= 2 for d >= 1.
-    As zeta(k) is in (1, 2), rounding to prec = dps_to_prec(working) bits
-    shifts X_k by P - prec + 1.  This assumes that mpmath rounds once to prec
-    bits a value it computed within 1 unit of 2^-P of zeta(k) (it works at
-    prec + 20 bits, 10 finer than P), so its input to that rounding lies in
-    [X_k - 3, X_k + 3]; where both ends round alike, that mantissa is mpmath's.
-    Any other k, near a tie, is read from `zeta_int`; `window` is the 3 units.
+    This assumes that mpmath rounds once, to nearest at prec =
+    dps_to_prec(working) bits, a value it computed within 1 unit of 2^-P of
+    zeta(k) (it works at prec + 20 bits, 10 finer than P), so its input to
+    that rounding lies in [X_k - 3, X_k + 3] units.  libmp rounds both ends
+    (`from_man_exp`, `round_nearest`); rounding is monotone, so where they
+    agree that mpf is mpmath's.  Any other k, near a tie, is read from
+    `zeta_int`; `window` is the 3 units.
     """
     global _ZETA_FIXED
     prec = dps_to_prec(working)
@@ -222,19 +223,12 @@ def _zeta_rounded(top: int, working: int, window: int = 3) -> list:
         cbits = max(cbits, bits)
         table = tuple(_hurwitz_fixed(max(top, len(table) - 1), 1, 1, cbits))
         _ZETA_FIXED = (cbits, table)
-    shift = bits - prec + 1
-    half = 1 << (shift - 1)
-
-    def nearest(x):  # x / 2^shift to nearest, ties to even, as mpmath rounds
-        q, r = x >> shift, x & ((1 << shift) - 1)
-        return q + 1 if r > half or (r == half and q & 1) else q
-
     out = [None, None]
     for k in range(2, top + 1):
         x = table[k] >> (cbits - bits)
-        man = nearest(x - window)
-        if man == nearest(x + window):
-            out.append(mpmath.mp.make_mpf(from_man_exp(man, 1 - prec)))
+        lo = from_man_exp(x - window, -bits, prec, round_nearest)
+        if lo == from_man_exp(x + window, -bits, prec, round_nearest):
+            out.append(mpmath.mp.make_mpf(lo))
         else:
             out.append(zeta_int(k, working))
     return out

@@ -115,6 +115,11 @@ def _refuse_growing_tail(s, N: int) -> None:
         )
 
 
+def _log_envelope(n: int) -> float:
+    """log B(n) in float64, B(n) = 2 (2n/pi)^(1/4) e^(-2 sqrt(pi n)) the |b_n| envelope."""
+    return math.log(2) + 0.25 * math.log(2 * n / math.pi) - 2 * math.sqrt(math.pi * n)
+
+
 def _below_envelope(bn, n: int, working: int) -> bool:
     """True if float64 shows |b_n| <= envelope_bound(n, working) for n >= 2.
 
@@ -135,7 +140,7 @@ def _below_envelope(bn, n: int, working: int) -> bool:
         return bn == 0
     cut = max(0, bc - 53)
     log_b = math.log(man >> cut) + (exp + cut) * math.log(2)
-    log_env = math.log(2) + 0.25 * math.log(2 * n / math.pi) - 2 * math.sqrt(math.pi * n)
+    log_env = _log_envelope(n)
     return log_b < log_env - (1e-9 + 10.0 ** (2 - working)) * (abs(log_env) + 1)
 
 
@@ -197,21 +202,20 @@ def newton_eval(s, N: int, prec: PrecisionBudget | int = 15):
         lc = float(mpmath.log(abs(binom)))
         log_terms = []
         n = N + 1
+        lt = _log_envelope(n) + lc
         closure = math.inf
         floor = 1e-6 * 10.0 ** (-target) * max(1.0, float(abs(value)))
         while n <= N + _TAIL_SCAN_CAP:
-            lt = (math.log(2) + 0.25 * math.log(2 * n / math.pi)
-                  - 2 * math.sqrt(math.pi * n) + lc)
             log_terms.append(lt)
             lc += float(mpmath.log(abs(s - n))) - math.log(n + 1)
             n += 1
-            lt_next = (math.log(2) + 0.25 * math.log(2 * n / math.pi)
-                       - 2 * math.sqrt(math.pi * n) + lc)
+            lt_next = _log_envelope(n) + lc
             ratio = math.exp(min(lt_next - lt, 700.0))
             if ratio < 0.99:
                 closure = math.exp(lt) * ratio / (1 - ratio)
                 if closure < floor:
                     break
+            lt = lt_next
         else:
             raise TruncationBoundError(
                 f"tail terms at s={s} still growing after scanning "

@@ -130,7 +130,9 @@ def test_left_line_float_refuses_below_the_stirling_height():
     fixed_sigma=st.booleans(),
 )
 def test_zeta_float_bound_covers_error(sigma, t, fixed_sigma):
-    got, bound = floattier._zeta_float(complex(sigma, t), fixed_sigma)
+    # fixed_sigma chose between two amplitude paths that gave the same bits;
+    # the strategy stays so that the same 40 examples are drawn
+    got, bound = floattier._zeta_float(complex(sigma, t))
     with workdps(40):
         want = mpmath.zeta(mpc(sigma, t))
         assert abs(mpc(got) - want) <= bound
@@ -174,12 +176,71 @@ def test_saddle_float_tier_bound_covers_error(n):
     with workdps(40):
         F = contour._saddle_integrand(n, mpmath.loggamma(n + 1))
         for s in points:
-            got, bound = floattier._saddle_float(s, 0.0, n, ln_fact, s.real == x_left)
+            got, bound = floattier._saddle_float(s, 0.0, n, ln_fact)
             want = F(mpc(s))
             assert abs(mpc(got) - want) <= bound
             assert bound < mpf("1e-10") * abs(want)
     # sin(pi s/2) vanishes at s = 4: no bound there
-    assert floattier._saddle_float(complex(4.0, 0.0), 0.0, n, ln_fact, False) is None
+    assert floattier._saddle_float(complex(4.0, 0.0), 0.0, n, ln_fact) is None
+
+
+# (piece, n, t on the ray or u on the slant) -> (Re, Im, bound) as float.hex,
+# recorded while the ray read k^-sigma from a table per sigma and the slant
+# computed them afresh
+_SADDLE_BITS = {
+    ("ray", 10, 8.0): ("0x1.f5520f822c845p-18", "-0x1.276d38e99fac9p-17", "0x1.a4ac32a4fe145p-58"),
+    ("ray", 10, 40.5): ("-0x1.64dd0ab2cfaf1p-29", "-0x1.1a25cdc6a12bap-33", "0x1.5afc84695d367p-68"),
+    ("ray", 10, 700.25): ("-0x1.a221a89af63d2p-59", "-0x1.5745443aac7c0p-64", "0x1.4bd14d06c7e07p-93"),
+    ("slant", 10, 0.3): ("-0x1.1495072b17903p-29", "0x1.15a9a06f2d291p-28", "0x1.68545ff3639e7p-69"),
+    ("slant", 10, 2.0): ("0x1.cce42a0470b8dp-28", "0x1.682a2b605e7c0p-24", "0x1.7c248557c8176p-65"),
+    ("slant", 10, 11.0): ("0x1.b545899f038d8p-19", "-0x1.54a6711a704d9p-18", "0x1.e7bf837fe98d4p-59"),
+    ("ray", 50, 8.0): ("-0x1.37f16e1c4a50ap-34", "0x1.5c0a1a84b3172p-34", "0x1.650abef2ae8b3p-73"),
+    ("ray", 50, 40.5): ("0x1.891fd71c6f1b4p-60", "0x1.60ec432485015p-58", "0x1.efe503b4df7d7p-97"),
+    ("ray", 50, 700.25): ("0x1.de2ca01b2af7ap-219", "-0x1.24a8a546b1827p-218", "0x1.2ceed90781098p-252"),
+    ("slant", 50, 0.3): ("0x1.d61360d411e7fp-57", "-0x1.4d65f85431b4cp-57", "0x1.0fbcbbf1ae9f4p-95"),
+    ("slant", 50, 2.0): ("0x1.7db50ca4bcb30p-53", "-0x1.204129c5b3005p-53", "0x1.ac18f509f0bf4p-92"),
+    ("slant", 50, 11.0): ("0x1.13363beec3de9p-40", "-0x1.789dff177add0p-40", "0x1.95e48582d530cp-79"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_SADDLE_BITS))
+def test_saddle_float_bits_are_pinned(key):
+    piece, n, x = key
+    if piece == "ray":
+        s = complex(math.sqrt(n), x)
+    else:
+        s = math.sqrt(2 * math.pi * n) + x * complex(math.cos(5 * math.pi / 8), math.sin(5 * math.pi / 8))
+    value, bound = floattier._saddle_float(s, 0.0, n, float(mpmath.loggamma(n + 1)))
+    assert (value.real.hex(), value.imag.hex(), bound.hex()) == _SADDLE_BITS[key]
+
+
+@pytest.mark.parametrize("kind, n", [("zeta-left", 5), ("zeta-left", 20), ("zeta-right", 20), ("inv-zeta", 10)])
+def test_rice_float_bound_covers_the_node_error(kind, n):
+    # g(t', dt) at a node t' = t + dt must bound its distance to f(t)
+    g = contour._line_data(kind, n, 10)[2]
+    c = mpf("-0.5") if kind == "zeta-left" else mpf("1.5")
+    for t in (16.0, 100.7, 2500.5):
+        dt = 1e-9 * t
+        got, bound = g(t + dt, dt)
+        with workdps(40):
+            s = c + mpc(0, 1) * mpf(t)
+            phi = mpcore.zeta_cx(s, 40)
+            if kind == "inv-zeta":
+                phi = 1 / phi
+            want = (phi * contour._rice_kernel(s, n, mpmath.loggamma(n + 1))).real
+            assert abs(mpf(got) - want) <= bound
+
+
+def test_bernoulli_floats_equal_the_mpmath_construction():
+    with workdps(30):
+        want = tuple(
+            (
+                float(mpmath.bernoulli(2 * j) * (2 * mpmath.pi) ** (2 * j) / mpmath.factorial(2 * j)),
+                float(mpmath.bernoulli(2 * j) / (2 * j * (2 * j - 1))),
+            )
+            for j in range(1, floattier._EM_TERMS + 1)
+        )
+    assert floattier._bernoulli_floats() == want
 
 
 _MOST_MPMATH_NODES = {
