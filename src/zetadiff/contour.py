@@ -38,6 +38,8 @@ float64 integrand with a proven error bound, from `floattier`.  One driver,
 is bounded at every node and the panel's bound fits its share of half the
 tolerance, with the bound joining the error estimate; mpmath otherwise,
 which is mostly the head of each contour where the integrand is largest.
+There zeta comes from `mpcore._zeta_borwein`, mpmath's bits with the
+amplitudes k^-(Re s) shared by every node of a line through one bounded table.
 Truncation heights come from explicit tail bounds; a user-supplied height
 that cannot meet the tolerance, or a quadrature that runs out of its panel
 budget, raises TruncationBoundError rather than returning a silently wrong
@@ -53,6 +55,7 @@ from dataclasses import dataclass
 
 import mpmath
 from mpmath import mpf, mpc, workdps
+from mpmath.libmp import from_int, mpc_mpf_div, mpc_mul, mpc_one, mpc_sub_mpf
 
 from . import mpcore
 from .asymptotics import envelope_bound
@@ -328,12 +331,16 @@ def rice_sum_residues(phi, n0: int, n: int, prec=15):
     return mpc(real, _binomial_sum(n, [v.imag for v in vals], working))
 
 
-def _rice_kernel(s, n: int, ln_fact):
-    """n!/(s(s-1)...(s-n)) via exp(ln n!) / running product."""
-    prod = mpc(1)
+def _rice_kernel(s, n: int, fact):
+    """n!/(s(s-1)...(s-n)) as fact / running product, fact = exp(ln n!) from
+    the line's setup; each s - j, each product and the quotient rounded once
+    at the ambient precision, as mpc arithmetic rounds them."""
+    prec, rnd = mpmath.mp._prec_rounding
+    z = s._mpc_
+    prod = mpc_one
     for j in range(n + 1):
-        prod *= s - j
-    return mpmath.exp(ln_fact) / prod
+        prod = mpc_mul(prod, mpc_sub_mpf(z, from_int(j), prec, rnd), prec, rnd)
+    return mpmath.mp.make_mpc(mpc_mpf_div(fact._mpf_, prod, prec, rnd))
 
 
 def _line_freq(n: int, ln_amp: float, tol: float):
@@ -373,12 +380,13 @@ def _line_data(kind: str, n: int, target: int):
     working = target + cancel + 12
     with workdps(working):
         ln_fact = mpmath.loggamma(n + 1)
+        fact = mpmath.exp(ln_fact)
         if kind == "zeta-left":
             c = mpf("-0.5")
 
             def f(t):
                 s = c + mpc(0, 1) * t
-                return (mpcore.zeta_cx(s) * _rice_kernel(s, n, ln_fact)).real
+                return (mpcore.zeta_cx(s) * _rice_kernel(s, n, fact)).real
 
             lg_fact = math.lgamma(n + 1)
 
@@ -407,7 +415,7 @@ def _line_data(kind: str, n: int, target: int):
 
         def f(t):
             s = c + mpc(0, 1) * t
-            kern, z = _rice_kernel(s, n, ln_fact), mpmath.zeta(s)
+            kern, z = _rice_kernel(s, n, fact), mpcore._zeta_borwein(s)
             return (kern / z if inverse else z * kern).real
 
         def g(t, dt):

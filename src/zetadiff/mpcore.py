@@ -18,6 +18,10 @@ zeta(l, m/k)/k^l, l <= N, in one fixed-point pass, each entry a function of
 grow-only m = k = 1 table to the bits `zeta_int` returns, for every sequence
 input; an entry it cannot decide falls back to `zeta_int`.  The table's
 Euler-Maclaurin tail takes exact Bernoulli numbers from `_bernoulli_even`.
+
+Complex zeta goes through `_zeta_borwein`, which returns mpmath.zeta's bits
+but keeps the amplitudes k^-(Re s) of Borwein's sum across calls, for the
+vertical lines of the contour oracles.
 """
 
 from __future__ import annotations
@@ -28,7 +32,12 @@ from fractions import Fraction
 
 import mpmath
 from mpmath import mpf, mpc, workdps
-from mpmath.libmp import dps_to_prec, from_man_exp, from_rational, round_nearest
+from mpmath.libmp import (
+    MPZ_ZERO, dps_to_prec, fhalf, from_int, from_man_exp, from_rational, fzero, ln2_fixed,
+    mpc_abs, mpc_div, mpc_one, mpc_pow, mpc_sub, mpc_two, mpf_gt, mpf_lt, pi_fixed,
+    round_nearest, to_fixed, to_int,
+)
+from mpmath.libmp.gammazeta import borwein_coefficients, cos_sin_fixed, exp_fixed, log_int_fixed
 
 from .errors import DomainError, TruncationBoundError
 from .precision import digits
@@ -304,17 +313,85 @@ def zeta_cx(s, prec=None) -> mpc:
         if s == 1:
             raise DomainError("zeta pole at s=1")
         if s.real >= 0.5:
-            v = mpmath.zeta(s)
+            v = _zeta_borwein(s)
         else:
             v = (
                 2
                 * (2 * mpmath.pi) ** (s - 1)
                 * mpmath.sinpi(s / 2)
                 * mpmath.gamma(1 - s)
-                * mpmath.zeta(1 - s)
+                * _zeta_borwein(1 - s)
             )
     with workdps(working):
         return +v
+
+
+# ((key, ((log k, amplitude), ...)), ...) of `_zeta_borwein`, k = 1, 2, ...,
+# key = (to_fixed(Re s, wp), wp), the most recently grown key first; grows by
+# rebinding, like _BERNOULLI, and keeps at most _AMPLITUDE_KEYS keys
+_AMPLITUDES: tuple = ()
+_AMPLITUDE_KEYS = 8
+
+
+def _zeta_borwein(s: mpc) -> mpc:
+    """mpmath.zeta(s) for a complex s at the ambient precision, bit for bit.
+
+    Where mpmath 1.3.0's `libmp.mpc_zeta` takes Borwein's algorithm with
+    exp_fixed amplitudes (s not real, Re s >= 0 and not 1/2, |s| <= prec at
+    10 bits, s not within 2^-wp/2 of the pole), this repeats its loop step
+    for step, but reads the amplitude k^-Re(s), exp_fixed((-ref log k) >> wp,
+    wp), from `_AMPLITUDES`: on a vertical line Re s and wp are fixed, so
+    only the phase k^-i Im(s) is new at each node.  An entry is read only
+    where its stored log k equals the one `log_int_fixed` returns now, as
+    mpmath's log cache can refine that value; otherwise the amplitude is
+    computed and stored afresh.  Every other input goes to mpmath.zeta.
+    """
+    prec, rnd = mpmath.mp._prec_rounding
+    re, im = s._mpc_
+    if (im == fzero or mpf_lt(re, fzero) or re == fhalf
+            or mpf_gt(mpc_abs(s._mpc_, 10), from_int(prec))):
+        return mpmath.zeta(s)
+    wp = prec + 20
+    r = mpc_sub(mpc_one, s._mpc_, wp)
+    _, _, aexp, abc = mpc_abs(r, 10)
+    pole_dist = -2 * (aexp + abc)
+    if pole_dist > wp:
+        return mpmath.zeta(s)
+    wp += max(0, pole_dist)
+
+    global _AMPLITUDES
+    n = int(wp / 2.54 + 5) + int(0.9 * abs(to_int(im)))
+    d = borwein_coefficients(n)
+    ref = to_fixed(re, wp)
+    imf = to_fixed(im, wp)
+    key = (ref, wp)
+    table = next((amps for held, amps in _AMPLITUDES if held == key), ())
+    grown = None
+    tre = tim = MPZ_ZERO
+    ln2 = ln2_fixed(wp)
+    pi2 = pi_fixed(wp - 1)
+    dn = d[n]
+    for k in range(n):
+        log = log_int_fixed(k + 1, wp, ln2)
+        if k < len(table) and table[k][0] == log:
+            w = table[k][1]
+        else:
+            w = exp_fixed((-ref * log) >> wp, wp)
+            if grown is None:
+                grown = list(table)
+            grown[k:k + 1] = [(log, w)]  # replaces entry k, or appends it
+        w *= (dn - d[k]) if k & 1 else (d[k] - dn)
+        wre, wim = cos_sin_fixed((-imf * log) >> wp, wp, pi2)
+        tre += (w * wre) >> wp
+        tim += (w * wim) >> wp
+    if grown is not None:
+        others = tuple(item for item in _AMPLITUDES if item[0] != key)
+        _AMPLITUDES = ((key, tuple(grown)),) + others[: _AMPLITUDE_KEYS - 1]
+    tre //= -dn
+    tim //= -dn
+    z = (from_man_exp(tre, -wp, wp), from_man_exp(tim, -wp, wp))
+    q = mpc_sub(mpc_one, mpc_pow(mpc_two, r, wp), wp)
+    return mpmath.mp.make_mpc(mpc_div(z, q, prec, rnd))
 
 
 def mobius_upto(limit: int) -> list[int]:

@@ -6,6 +6,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mpc, mpf, workdps
+from mpmath.libmp import dps_to_prec, from_str, to_fixed
 
 from zetadiff import contour, differences, floattier, mpcore
 from zetadiff.contour import ContourSpec
@@ -95,7 +96,8 @@ def test_left_line_float_tier_bound_covers_error(n, c):
         got, bound = contour._left_line_float(t, sigma, n, math.lgamma(n + 1))
         with workdps(40):
             s = mpf(c) + mpc(0, 1) * mpf(t)
-            want = (mpcore.zeta_cx(s, 40) * contour._rice_kernel(s, n, mpmath.loggamma(n + 1))).real
+            fact = mpmath.exp(mpmath.loggamma(n + 1))
+            want = (mpcore.zeta_cx(s, 40) * contour._rice_kernel(s, n, fact)).real
             assert abs(mpf(got) - want) <= bound
             assert bound < mpf("1e-9") * abs(want)
 
@@ -161,9 +163,10 @@ def test_rice_line_float_tier_bound_covers_error(n, inverse):
         with workdps(40):
             s = mpf("1.5") + mpc(0, 1) * mpf(t)
             phi = 1 / mpmath.zeta(s) if inverse else mpmath.zeta(s)
-            want = (phi * contour._rice_kernel(s, n, mpmath.loggamma(n + 1))).real
+            fact = mpmath.exp(mpmath.loggamma(n + 1))
+            want = (phi * contour._rice_kernel(s, n, fact)).real
             assert abs(mpf(got) - want) <= bound
-            assert bound < mpf("1e-10") * abs(contour._rice_kernel(s, n, mpmath.loggamma(n + 1)))
+            assert bound < mpf("1e-10") * abs(contour._rice_kernel(s, n, fact))
 
 
 @pytest.mark.parametrize("n", [10, 50])
@@ -227,7 +230,7 @@ def test_rice_float_bound_covers_the_node_error(kind, n):
             phi = mpcore.zeta_cx(s, 40)
             if kind == "inv-zeta":
                 phi = 1 / phi
-            want = (phi * contour._rice_kernel(s, n, mpmath.loggamma(n + 1))).real
+            want = (phi * contour._rice_kernel(s, n, mpmath.exp(mpmath.loggamma(n + 1)))).real
             assert abs(mpf(got) - want) <= bound
 
 
@@ -315,6 +318,26 @@ def test_rice_inverse_line():
     with workdps(30):
         rel = abs(res.value - want) / abs(want)
         assert rel < mpf("1e-10")
+
+
+def test_rice_lines_share_the_bounded_amplitude_table(monkeypatch):
+    monkeypatch.setattr(mpcore, "_AMPLITUDES", ())
+    keys = set()
+    for target in (10, 12):
+        working = contour._line_data("zeta-right", 6, target)[0]
+        wp = dps_to_prec(working) + 20
+        keys.add((to_fixed(from_str("1.5", wp), wp), wp))
+        contour.rice_integral("zeta-right", 6, target)
+    assert len(keys) == 2
+    assert {key for key, _ in mpcore._AMPLITUDES} == keys
+    # the inverse line sits on Re s = 3/2 too: no new key at the same digits
+    assert contour._line_data("inv-zeta", 6, 11)[0] == working
+    contour.rice_integral("inv-zeta", 6, 11)
+    assert {key for key, _ in mpcore._AMPLITUDES} == keys
+    for dps in range(10, 30):
+        with workdps(dps):
+            mpcore._zeta_borwein(mpc("1.5", "2"))
+    assert len(mpcore._AMPLITUDES) == mpcore._AMPLITUDE_KEYS
 
 
 def test_rice_error_estimate_covers_error_at_low_degree():

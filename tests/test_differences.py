@@ -196,6 +196,9 @@ def test_library_calls_leave_mp_precision_unchanged():
         lambda: asymptotics.envelope_bound(50, 30),
         lambda: asymptotics.b_asym(50, 30),
         lambda: contour.rice_integral("zeta-right", 6, 10),
+        lambda: contour.rice_integral("zeta-left", 20, 10),
+        lambda: contour.rice_integral("inv-zeta", 10, 12),
+        lambda: mpcore.zeta_cx(mpmath.mpc("-0.5", 7), 30),
         lambda: contour.saddle_contour_integral(50, 8),
     ]
     saved = mpmath.mp.prec

@@ -7,7 +7,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from mpmath import mpf, workdps
+from mpmath import libmp, mpf, workdps
 from mpmath.libmp import dps_to_prec, from_rational, round_nearest
 
 from zetadiff import mpcore
@@ -129,6 +129,92 @@ def test_zeta_cx_reflection_agrees_with_direct():
             ours = mpcore.zeta_cx(s, 40)
             ref = mpmath.zeta(s)
             assert abs(ours - ref) < mpf("1e-35") * max(1, abs(ref))
+
+
+_BORWEIN_SIGMAS = ("1.5", "0.5", "2.25", "1 + 0.7 sqrt(50)")
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    sigma=st.sampled_from(_BORWEIN_SIGMAS),
+    t=st.floats(-400, 400, allow_nan=False).filter(lambda t: t != 0),
+    dps=st.integers(10, 70),
+)
+@example(sigma="1.5", t=399.0, dps=10)  # far past |s| > prec: mpmath's generic path
+@example(sigma="0.5", t=14.134725, dps=40)
+def test_zeta_borwein_equals_mpmath_zeta_bit_for_bit(sigma, t, dps):
+    with workdps(dps):
+        re = 1 + mpf("0.7") * mpmath.sqrt(50) if sigma == _BORWEIN_SIGMAS[-1] else mpf(sigma)
+        s = mpmath.mpc(re, t)
+        assert mpcore._zeta_borwein(s)._mpc_ == mpmath.zeta(s)._mpc_
+
+
+def _borwein_calls(monkeypatch, s):
+    """(result bits, whether `_zeta_borwein` handed s to mpmath.zeta)."""
+    fallbacks = []
+    zeta = mpmath.zeta
+
+    def counted(x):
+        fallbacks.append(x)
+        return zeta(x)
+
+    monkeypatch.setattr(mpmath, "zeta", counted)
+    got = mpcore._zeta_borwein(s)._mpc_
+    monkeypatch.setattr(mpmath, "zeta", zeta)
+    return got, bool(fallbacks)
+
+
+@pytest.mark.parametrize("s, dps, falls_back", [
+    (("2.5", "0"), 30, True),  # real s
+    (("-0.5", "7"), 30, True),  # Re s < 0
+    (("0.5", "14"), 30, True),  # mpmath's square-root amplitudes
+    (("1", "1e-30"), 30, True),  # within 2^-wp/2 of the pole
+    (("1", "1e-30"), 70, False),  # the pole is farther at 70 digits; wp grows
+    (("1.5", "3"), 30, False),
+])
+def test_zeta_borwein_branches_as_mpc_zeta(monkeypatch, s, dps, falls_back):
+    with workdps(dps):
+        s = mpmath.mpc(*s)
+        got, fell = _borwein_calls(monkeypatch, s)
+        assert got == mpmath.zeta(s)._mpc_
+        assert fell == falls_back
+
+
+@pytest.mark.parametrize("dps", [20, 45, 70])
+@pytest.mark.parametrize("offset", ["-0.9", "-0.5", "0.04", "0.5", "0.9"])
+def test_zeta_borwein_tests_abs_s_at_ten_bits_like_mpmath(monkeypatch, dps, offset):
+    # |s| = prec + offset: at 10 bits, rounded down, |s| = prec + 0.04 reads
+    # prec, so mpmath takes Borwein's algorithm where an exact test would not
+    with workdps(dps):
+        prec = mpmath.mp.prec
+        t = mpmath.sqrt((prec + mpf(offset)) ** 2 - mpf("2.25"))
+        s = mpmath.mpc("1.5", t)
+        got, fell = _borwein_calls(monkeypatch, s)
+        assert got == mpmath.zeta(s)._mpc_
+        try:
+            libmp.mpc_zeta(s._mpc_, prec, round_nearest)
+            borwein = True
+        except NotImplementedError:
+            borwein = False
+        assert fell != borwein
+    if offset == "0.04":
+        assert not fell
+
+
+def test_zeta_borwein_recomputes_an_amplitude_whose_log_moved(monkeypatch):
+    # mpmath's log cache can refine log k in its last bit; a stored amplitude
+    # is read only with the log it was made from
+    monkeypatch.setattr(mpcore, "_AMPLITUDES", ())
+    with workdps(30):
+        s = mpmath.mpc("1.5", "5.25")
+        want = mpmath.zeta(s)._mpc_
+        assert mpcore._zeta_borwein(s)._mpc_ == want
+        (key, table), = mpcore._AMPLITUDES
+        stale = list(table)
+        stale[3] = (stale[3][0] + 1, stale[3][1] + 12345)
+        monkeypatch.setattr(mpcore, "_AMPLITUDES", ((key, tuple(stale)),))
+        assert mpcore._zeta_borwein(s)._mpc_ == want
+        assert mpcore._AMPLITUDES == ((key, table),)
 
 
 def test_zeta_cx_pole_rejected():
