@@ -51,17 +51,11 @@ class RunConfig:
     k: int = 1
     digits: int = 15
     method: str | None = None
-    threads: int = 1
     quad_T: float | None = None
-    quad_panels: int | None = None
 
     def __post_init__(self):
         if self.digits < 1:
             raise DomainError(f"--digits must be >= 1, got {self.digits}")
-        if self.threads < 1:
-            raise DomainError(f"--threads must be >= 1, got {self.threads}")
-        if not self.ns:
-            raise DomainError("empty index list")
 
     @property
     def compute_digits(self) -> int:
@@ -148,55 +142,33 @@ def _render(body, extra, columns, fmt: str) -> str:
 # commands
 
 
+def _seq_rows(config: RunConfig, points) -> list[dict]:
+    """Emit-ready rows of (n, value, method) triples at the display digits."""
+    return [
+        {"n": n, "value": format_decimal(value, config.digits), "method": method,
+         "digits": config.digits}
+        for n, value, method in points
+    ]
+
+
 def cmd_sequence(config: RunConfig, kind: str) -> list[dict]:
     """Sequence values over the requested indices as emit-ready rows."""
-    if kind not in differences.KINDS:
-        raise DomainError(f"unknown sequence kind {kind!r}")
-    second = differences.KINDS[kind][1]
-    allowed = ("binomial", second) if second else ()
-    if config.method is not None and config.method not in allowed:
-        raise DomainError(
-            f"--method {config.method!r} is not valid for seq {kind}"
-            + (f" (choose from {allowed})" if allowed else " (it takes none)")
-        )
     points = differences.sequence_many(
         kind, list(config.ns), config.compute_digits, (config.m, config.k), config.method
     )
-    return [
-        {
-            "n": p.n,
-            "value": format_decimal(p.value, config.digits),
-            "method": p.method,
-            "digits": config.digits,
-        }
-        for p in points
-    ]
+    return _seq_rows(config, ((p.n, p.value, p.method) for p in points))
 
 
 def cmd_asym(config: RunConfig, kind: str) -> list[dict]:
     """Asymptotic main terms as emit-ready rows."""
-    rows = []
-    for n in config.ns:
-        if kind == "b":
-            value = asymptotics.b_asym(n, config.compute_digits).main
-            method = "main-term"
-        elif kind == "a":
-            value = asymptotics.a_asym(n, (config.m, config.k), config.compute_digits).main
-            method = "main-term(derived)"
-        elif kind == "an12":
-            value = asymptotics.an12_main(n, config.compute_digits)
-            method = "A-main(1,2)"
-        else:
-            raise DomainError(f"unknown asym kind {kind!r}")
-        rows.append(
-            {
-                "n": n,
-                "value": format_decimal(value, config.digits),
-                "method": method,
-                "digits": config.digits,
-            }
-        )
-    return rows
+    digits = config.compute_digits
+    main, method = {
+        "b": (lambda n: asymptotics.b_asym(n, digits).main, "main-term"),
+        "a": (lambda n: asymptotics.a_asym(n, (config.m, config.k), digits).main,
+              "main-term(derived)"),
+        "an12": (lambda n: asymptotics.an12_main(n, digits), "A-main(1,2)"),
+    }[kind]
+    return _seq_rows(config, ((n, main(n), method) for n in config.ns))
 
 
 def cmd_signs(config: RunConfig):
@@ -234,9 +206,7 @@ def cmd_signs(config: RunConfig):
 
 def cmd_figure2(config: RunConfig) -> list[dict]:
     """Exact and asymptotic b_n, both scaled by e^(2 sqrt(pi n)) n^(-1/4)."""
-    points = differences.sequence_many(
-        "b", list(config.ns), target_digits=config.compute_digits, threads=config.threads
-    )
+    points = differences.sequence_many("b", list(config.ns), target_digits=config.compute_digits)
     rows = []
     with workdps(config.compute_digits + 10):
         for p in points:
@@ -329,14 +299,10 @@ def cmd_zero_model(config: RunConfig):
 def cmd_contour(config: RunConfig, token: str):
     """One contour-oracle evaluation as report lines."""
     if token == "saddle":
-        kind, oracle = "fig1-saddle", contour.saddle_contour_integral
-    elif token in _CONTOUR_KINDS:
-        kind, oracle = "vertical", functools.partial(contour.rice_integral, _CONTOUR_KINDS[token])
+        oracle = contour.saddle_contour_integral
     else:
-        raise DomainError(f"unknown contour kind {token!r}")
-    spec = None  # without quadrature options each oracle picks its own geometry
-    if config.quad_T is not None or config.quad_panels is not None:
-        spec = ContourSpec(kind=kind, T=config.quad_T, panels=config.quad_panels)
+        oracle = functools.partial(contour.rice_integral, _CONTOUR_KINDS[token])
+    spec = ContourSpec(T=config.quad_T)
     results = [(n, oracle(n, config.compute_digits, spec)) for n in config.ns]
     lines = []
     fields = []
@@ -563,7 +529,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("contour", help="contour-integral oracles")
     sp.add_argument("kind", choices=("right", "left", "inv", "saddle"))
     sp.add_argument("--quad-T", dest="quad_T", type=float, default=None)
-    sp.add_argument("--quad-panels", dest="quad_panels", type=int, default=None)
     common(sp, digits=10, n_required=True)
 
     sp = sub.add_parser("newton", help="Newton-series evaluation with certificate")
@@ -580,15 +545,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from(args) -> RunConfig:
+    if args.threads < 1:
+        raise DomainError(f"--threads must be >= 1, got {args.threads}")
     return RunConfig(
         ns=_parse_ns(getattr(args, "n_range", None) or args.n),
         m=getattr(args, "m", 1),
         k=getattr(args, "k", 1),
         digits=args.digits,
         method=getattr(args, "method", None),
-        threads=args.threads,
         quad_T=getattr(args, "quad_T", None),
-        quad_panels=getattr(args, "quad_panels", None),
     )
 
 

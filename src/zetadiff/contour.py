@@ -22,16 +22,20 @@ Two families:
   sqrt(2 pi n)), and finishes with a vertical ray once Re s has dropped
   to c1 sqrt(n).
 
-Quadrature is composite Gauss-Legendre with cached nodes, exact sums
-(`mpmath.fsum`, rounded once) of the nodes and of the panel contributions,
-and an embedded error estimate: each panel's rule against one of half its
-degree.  A Rice line's automatic grid starts with panels whose widths
-double away from t = 0 (the integrands peak there and decay fast), but
-its first panel is never narrower than w0 = 10^(-working/degree): each
-integrand is analytic in the strip |Im t| < 1/2 around the line, so
-Gauss-Legendre converges geometrically on a panel of width w0 too.  The half-degree rule's error on a start panel
-of width w falls like (w/2)^degree, so at w0 it is already below the
-working precision, and narrower start panels only add mpmath evaluations.
+Quadrature is composite Gauss-Legendre with nodes cached per degree, exact
+sums (`mpmath.fsum`, rounded once) of the nodes and of the panel
+contributions, and an embedded error estimate: each panel's rule against one
+of half its degree.  The degree is 32, or 64 on a left line truncated above
+T = 2000; a `ContourSpec` may name another degree, and a truncation height.
+A Rice line's grid starts with panels whose widths double away from t = 0
+(the integrands peak there and decay fast), but its first panel is never
+narrower than w0 = 10^(-working/degree): each integrand is analytic in the
+strip |Im t| < 1/2 around the line, so Gauss-Legendre converges
+geometrically on a panel of width w0 too.  The half-degree rule's error on
+a start panel of width w falls like (w/2)^degree, so at w0 it is already
+below the working precision, and narrower start panels only add mpmath
+evaluations.  Past the head, the right and inverse lines and the saddle's
+ray take panels sized to the phase one absorbs; the slant takes 12 equal ones.
 Every integral (the three Rice lines and both saddle pieces) also has a
 float64 integrand with a proven error bound, from `floattier`.  One driver,
 `_adaptive_quad`, picks the tier of each panel: float64 when the integrand
@@ -74,29 +78,24 @@ _MAX_TARGET = 30
 
 @dataclass(frozen=True)
 class ContourSpec:
-    """Contour geometry; `vertical` is a Rice line, `fig1-saddle` the slant path."""
+    """Contour geometry: the saddle's ray abscissa c1 sqrt(n) and axis start
+    c2, a truncation height T, and the Gauss-Legendre degree; T and degree
+    None let the oracle choose."""
 
-    kind: str = "vertical"
     c1: float = 1.0
     c2: float = 3.0
     T: float | None = None
-    panels: int | None = None
-    degree: int = 32
+    degree: int | None = None
 
     def __post_init__(self):
-        if self.kind not in ("vertical", "fig1-saddle"):
-            raise DomainError(f"unknown contour kind {self.kind!r}")
-        if self.kind == "fig1-saddle":
-            if not (0 < self.c1 < SQRT_PI < self.c2 < 2 * SQRT_PI):
-                raise DomainError(
-                    "fig1-saddle needs 0 < c1 < sqrt(pi) < c2 < 2 sqrt(pi), "
-                    f"got c1={self.c1}, c2={self.c2}"
-                )
+        if not (0 < self.c1 < SQRT_PI < self.c2 < 2 * SQRT_PI):
+            raise DomainError(
+                "the saddle contour needs 0 < c1 < sqrt(pi) < c2 < 2 sqrt(pi), "
+                f"got c1={self.c1}, c2={self.c2}"
+            )
         if self.T is not None and not 0 < self.T < math.inf:
             raise DomainError(f"truncation height must be finite and positive, got {self.T}")
-        if self.panels is not None and self.panels < 1:
-            raise DomainError(f"panel count must be >= 1, got {self.panels}")
-        if self.degree < 3 or self.degree > 256:
+        if self.degree is not None and not 3 <= self.degree <= 256:
             # below 3 there is no smaller rule left for the error estimate
             raise DomainError(f"Gauss-Legendre degree must be in 3..256, got {self.degree}")
 
@@ -124,12 +123,12 @@ class QuadratureResult:
 _GL_WORKING = _MAX_TARGET + 28
 
 
-def legendre_rule(degree: int, working: int):
+def legendre_rule(degree: int):
     """Nodes and weights of degree-point Gauss-Legendre on [-1, 1], accurate to
-    at least `working` digits."""
+    _GL_WORKING digits."""
     if degree < 2:
         raise DomainError(f"need degree >= 2, got {degree}")
-    return _legendre_nodes(degree, max(working, _GL_WORKING))
+    return _legendre_nodes(degree)
 
 
 def _legendre_eval(degree: int, x):
@@ -154,8 +153,8 @@ def _newton_root(degree: int, x, eps, steps: int):
 
 
 @functools.lru_cache(maxsize=None)
-def _legendre_nodes(degree: int, working: int):
-    dps = working + 10
+def _legendre_nodes(degree: int):
+    dps = _GL_WORKING + 10
     with workdps(dps):
         eps = mpf(10) ** (-dps)
         half = []
@@ -187,9 +186,9 @@ def _gl_panel(f, a, b, rule):
     return half * mpmath.fsum(w * f(mid + half * x) for x, w in rule)
 
 
-def _embedded_rules(degree: int, working: int):
+def _embedded_rules(degree: int):
     """The panel rule and the strictly smaller rule its error estimate compares."""
-    return legendre_rule(degree, working), legendre_rule(max(2, degree // 2), working)
+    return legendre_rule(degree), legendre_rule(max(2, degree // 2))
 
 
 def _float_panel(g, rule, mid, half):
@@ -288,12 +287,14 @@ def _adaptive_quad(f, boundaries, rule_hi, rule_lo, tol_abs, max_panels=3000, g=
     return value, err + mpmath.fsum(rec[4] for rec in panels.values())
 
 
-def _osc_boundaries(t0: float, T: float, freq, capacity: float):
-    """Panel boundaries on [t0, T] with phase per panel near `capacity`.
+def _osc_boundaries(t0: float, T: float, freq, degree: int):
+    """Panel boundaries on [t0, T] with phase per panel near what a
+    degree-point GL panel absorbs at ~1e-14 accuracy.
 
     `freq(t)` estimates |d(phase)/dt| of the integrand; widths also stay
     below 4t so power-law magnitude variation stays resolved per panel.
     """
+    capacity = 0.7 * 2 * degree * 10 ** (-14.0 / (2 * degree))
     bounds = [mpf(t0)]
     t = float(t0)
     while t < T:
@@ -304,11 +305,6 @@ def _osc_boundaries(t0: float, T: float, freq, capacity: float):
     if len(bounds) < 2:
         bounds.append(mpf(T))
     return bounds
-
-
-def _gl_capacity(degree: int) -> float:
-    """Phase (radians) a degree-point GL panel absorbs at ~1e-14 accuracy."""
-    return 0.7 * 2 * degree * 10 ** (-14.0 / (2 * degree))
 
 
 def rice_sum_residues(phi, n0: int, n: int, prec=15):
@@ -472,27 +468,20 @@ def rice_integral(kind: str, n: int, prec=15, spec: ContourSpec | None = None) -
     target = digits(prec)[0]
     if target > _MAX_TARGET:
         raise DomainError(f"rice_integral is capped at {_MAX_TARGET} digits, got {target}")
-    auto_degree = spec is None
-    spec = spec or ContourSpec(kind="vertical")
-    if spec.kind != "vertical":
-        raise DomainError(f"rice_integral needs a vertical contour, got {spec.kind!r}")
+    spec = spec or ContourSpec()
 
     working, f, g, tail, scale, freq_for = _line_data(kind, n, target)
     with workdps(working):
         tol_abs = mpf(10) ** (-(target + 1)) * scale
         T, bound = _choose_height(tail, tol_abs, spec.T, f"{kind} line integral at n={n}")
 
-        degree = spec.degree
-        if auto_degree and kind == "zeta-left" and float(T) > 2000:
-            # long left lines are oscillation-dominated; a wider panel rule
-            # absorbs more phase per node (measured ~25% cheaper at n=5)
-            degree = 64
-        rule_hi, rule_lo = _embedded_rules(degree, working)
+        # unless the spec names one: long left lines are oscillation-dominated,
+        # and a wider panel rule absorbs more phase per node
+        degree = spec.degree or (64 if kind == "zeta-left" and float(T) > 2000 else 32)
+        rule_hi, rule_lo = _embedded_rules(degree)
         # no start panel narrower than w0 (see the module docstring)
         w0 = mpf(10) ** (-mpf(working) / degree)
-        if spec.panels is not None:
-            boundaries = _graded_boundaries(0, T, spec.panels)
-        elif freq_for is None:
+        if freq_for is None:
             # the left line's reflection factor grows like t and carries a
             # huge steadily swept Dirichlet spectrum; a frequency grid
             # oversizes itself there, so start coarse and let the
@@ -502,9 +491,7 @@ def rice_integral(kind: str, n: int, prec=15, spec: ContourSpec | None = None) -
         else:
             t_head = min(mpf(16), T / 2)
             head = _graded_boundaries(0, t_head, 12, w0)
-            osc = _osc_boundaries(
-                float(t_head), float(T), freq_for(float(tol_abs)), _gl_capacity(degree)
-            )
+            osc = _osc_boundaries(float(t_head), float(T), freq_for(float(tol_abs)), degree)
             boundaries = head + osc[1:]
         evaluations = [0, 0]
         integral, quad_err = _adaptive_quad(
@@ -542,7 +529,7 @@ def _saddle_integrand(n: int, ln_fact):
 
 
 def saddle_contour_integral(n: int, prec=15, spec: ContourSpec | None = None) -> QuadratureResult:
-    """b_n from the slanted saddle contour (kind fig1-saddle).
+    """b_n from the slanted saddle contour.
 
     Pieces reported: `axis` (real-axis run from c2 to the slant crossing
     sqrt(2 pi n); exactly real, so it contributes 0 to the imaginary part),
@@ -555,19 +542,14 @@ def saddle_contour_integral(n: int, prec=15, spec: ContourSpec | None = None) ->
     target = digits(prec)[0]
     if target > _MAX_TARGET:
         raise DomainError(f"saddle_contour_integral is capped at {_MAX_TARGET} digits, got {target}")
-    spec = spec or ContourSpec(kind="fig1-saddle")
-    if spec.kind != "fig1-saddle":
-        raise DomainError(f"saddle_contour_integral needs kind fig1-saddle, got {spec.kind!r}")
+    spec = spec or ContourSpec()
 
     working = target + 18
     with workdps(working):
         ln_fact = mpmath.loggamma(n + 1)
         F = _saddle_integrand(n, ln_fact)
+        # sqrt(2 pi n) >= sqrt(8 pi) > 2 sqrt(pi) > c2, so the axis run is never empty
         x_cross = mpmath.sqrt(2 * mpmath.pi * n)
-        if not spec.c2 < x_cross:
-            raise DomainError(
-                f"slant axis crossing {mpmath.nstr(x_cross, 6)} must lie right of c2={spec.c2}"
-            )
         e_dir = mpmath.exp(mpc(0, 1) * 5 * mpmath.pi / 8)
         x_left = mpf(spec.c1) * mpmath.sqrt(n)
         u_end = (x_cross - x_left) / (-e_dir.real)
@@ -591,31 +573,26 @@ def saddle_contour_integral(n: int, prec=15, spec: ContourSpec | None = None) ->
             tail, tol_abs, spec.T, f"saddle contour at n={n}", T_start=h_end * mpf("1.2")
         )
 
-        rule_hi, rule_lo = _embedded_rules(spec.degree, working)
-        base = spec.panels if spec.panels is not None else 12
+        degree = spec.degree or 32
+        rule_hi, rule_lo = _embedded_rules(degree)
 
         ln_fact_f = float(ln_fact)
         xl = float(x_left)
 
         evaluations = [0, 0]  # both pieces
-        slant_bounds = mpmath.linspace(0, u_end, base + 1)
+        slant_bounds = mpmath.linspace(0, u_end, 13)
         slant, err_s = _adaptive_quad(
             lambda u: F(x_cross + u * e_dir) * e_dir, slant_bounds, rule_hi, rule_lo, tol_abs / 4,
             g=_slant_float(float(x_cross), complex(e_dir), n, ln_fact_f), evaluations=evaluations,
         )
 
-        if spec.panels is not None:
-            vert_bounds = _graded_boundaries(h_end, T, max(8, base // 2 + 4))
-        else:
-            n_f = float(n)
+        n_f = float(n)
 
-            def vert_freq(t: float) -> float:
-                r = math.hypot(xl, max(t, 1e-6))
-                return abs(math.log(r / (2 * math.pi))) + (n_f + 2) / max(t, 1e-6) + 0.1
+        def vert_freq(t: float) -> float:
+            r = math.hypot(xl, max(t, 1e-6))
+            return abs(math.log(r / (2 * math.pi))) + (n_f + 2) / max(t, 1e-6) + 0.1
 
-            vert_bounds = _osc_boundaries(
-                float(h_end), float(T), vert_freq, _gl_capacity(spec.degree)
-            )
+        vert_bounds = _osc_boundaries(float(h_end), float(T), vert_freq, degree)
         vert, err_v = _adaptive_quad(
             lambda t: F(x_left + mpc(0, 1) * t) * mpc(0, 1), vert_bounds, rule_hi, rule_lo, tol_abs / 4,
             g=_ray_float(xl, n, ln_fact_f), evaluations=evaluations,

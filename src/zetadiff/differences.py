@@ -376,12 +376,7 @@ def D_of(x, prec: PrecisionBudget | int = 15) -> mpf:
 
 
 def sequence_many(
-    kind: str,
-    ns: list[int],
-    target_digits: int = 15,
-    shift=None,
-    method: str | None = None,
-    threads: int = 1,
+    kind: str, ns: list[int], target_digits: int = 15, shift=None, method: str | None = None
 ) -> list[SequencePoint]:
     """Evaluate one sequence kind over many indices at one working precision.
 
@@ -389,12 +384,11 @@ def sequence_many(
     equals the single call at that budget bit for bit.  Binomial routes read
     each input once, as a single call does (zeta values from
     `mpcore._zeta_rounded`, Hurwitz values from `mpcore._hurwitz_fixed`), and
-    run the exact kernel once for the whole batch; the rearranged routes
-    (delta 'series', d 'moebius') go index by index.  The shift of A and a
-    defaults to (1, 1) and the method to 'binomial'.  `threads` is accepted
-    for compatibility and changes nothing: the batch is integer arithmetic
-    that threads cannot share under the interpreter lock, so it runs in the
-    calling thread.
+    run the exact kernel once for the whole batch, in the calling thread: it
+    is integer arithmetic that threads cannot share under the interpreter
+    lock.  The rearranged routes (delta 'series', d 'moebius') go index by
+    index.  The shift of A and a defaults to (1, 1) and the method to
+    'binomial'.
     """
     return _evaluate(
         kind, ns, target_digits, (1, 1) if shift is None else shift,

@@ -21,6 +21,7 @@ import cmath
 import functools
 import itertools
 import math
+import operator
 
 import mpmath
 from mpmath import workdps
@@ -36,6 +37,13 @@ _EM_TERMS = 60
 # |zeta'/zeta(w)| <= -zeta'(Re w)/zeta(Re w), which is below these at Re w = 3/2, 2
 _LOG_DERIV_ZETA_3_2 = 1.51
 _LOG_DERIV_ZETA_2 = 0.57
+
+
+def _sum(xs):
+    """The terms added left to right in plain float arithmetic, as sum() adds
+    them up to Python 3.11; from 3.12 sum() compensates float sums, which
+    would move the bits and the bounds."""
+    return functools.reduce(operator.add, xs, 0.0)
 
 
 @functools.lru_cache(maxsize=None)
@@ -161,7 +169,7 @@ def _loggamma_float(w: complex) -> tuple[complex, float]:
     if m:
         logs = [cmath.log(w + j) for j in range(m)]
         value -= complex(math.fsum(lg.real for lg in logs), math.fsum(lg.imag for lg in logs))
-        err += 4 * u * sum(abs(lg) + 1 for lg in logs) + 2 * u * abs(value)
+        err += 4 * u * _sum(abs(lg) + 1 for lg in logs) + 2 * u * abs(value)
     return value, err
 
 
@@ -216,9 +224,9 @@ def _left_line_float(t: float, sigma: float, n: int, ln_fact: float,
         8 * u * (abs(s - 1) * (_LN_2PI + math.pi / 2) + abs(w - 0.5) * abs(log_w) + abs(w) + 2)
         + 8 * u * stirling_abs
         + rem_gamma
-        + (n + 8) * u * (ln_fact + sum(abs(z) for z in log_k))
+        + (n + 8) * u * (ln_fact + _sum(abs(z) for z in log_k))
         + 1.25 * dt * (_LN_2PI + 1.01 * math.pi / 2 + abs(log_w) + 0.62 + _LOG_DERIV_ZETA_3_2
-                       + sum(1 / abs(s - j) for j in range(n + 1)))
+                       + _sum(1 / abs(s - j) for j in range(n + 1)))
     )
     value, err = _times_exp(zeta_w, err_zeta, big_l, err_l)
     return value.real, err
@@ -246,8 +254,8 @@ def _rice_line_float(t: float, dt: float, n: int, ln_fact: float, inverse: bool)
         z, err_z = 1 / z, err_z / (az * (az - err_z)) + 4 * u / az
     log_k = [cmath.log(s - j) for j in range(n + 1)]
     big_l = ln_fact - complex(math.fsum(lg.real for lg in log_k), math.fsum(lg.imag for lg in log_k))
-    err_l = (n + 8) * u * (ln_fact + sum(abs(lg) + 1 for lg in log_k)) + 1.25 * dt * (
-        _LOG_DERIV_ZETA_3_2 + sum(1 / abs(s - j) for j in range(n + 1))
+    err_l = (n + 8) * u * (ln_fact + _sum(abs(lg) + 1 for lg in log_k)) + 1.25 * dt * (
+        _LOG_DERIV_ZETA_3_2 + _sum(1 / abs(s - j) for j in range(n + 1))
     )
     value, err = _times_exp(z, err_z, big_l, err_l)
     return value.real, err
@@ -285,14 +293,14 @@ def _saddle_float(s: complex, ds: float, n: int, ln_fact: float):
     lgn, en = _loggamma_float(s + n + 1)
     log_1q = cmath.log(one_q)
     terms = (-(s + 1) * _LN_2PI, _LOG_I_2, -0.5j * math.pi * s, log_1q, ln_fact, lg1, lg0, -lgn)
-    big_l = sum(terms)
-    log_abs = sum(abs(math.log(abs(z))) + math.pi / 2 for z in (s + 1, s, s + n + 1))
+    big_l = _sum(terms)
+    log_abs = _sum(abs(math.log(abs(z))) + math.pi / 2 for z in (s + 1, s, s + n + 1))
     deriv = _LN_2PI + math.pi / 2 + 2 * math.pi * aq / a1q + _LOG_DERIV_ZETA_2 + log_abs + 3
     err_l = (
         e1 + e0 + en
         + 2 * dq / a1q
         + 2 * u * (abs(log_1q) + 1)
-        + 12 * u * sum(abs(x) for x in terms)
+        + 12 * u * _sum(abs(x) for x in terms)
         + 1.25 * ds1 * deriv
     )
     z, err_z = _zeta_float(1 + s)

@@ -95,6 +95,28 @@ def test_seq_method_validation(capsys):
     code, _, err = run(capsys, "seq", "b", "--n", "5", "--method", "moebius")
     assert code == 2
     assert "usage error" in err
+    # d's second route is moebius; series belongs to delta
+    code, out, err = run(capsys, "seq", "d", "--n", "5", "--method", "series")
+    assert code == 2
+    assert out == "" and err.startswith("usage error")
+
+
+def test_seq_method_binomial_is_the_default(capsys):
+    plain = run(capsys, "seq", "b", "--n", "1..12", "--digits", "18")
+    named = run(capsys, "seq", "b", "--n", "1..12", "--digits", "18", "--method", "binomial")
+    assert plain[0] == 0 and named == plain
+
+
+def test_threads_below_one_is_usage_error(capsys):
+    code, out, err = run(capsys, "seq", "b", "--n", "5", "--threads", "0")
+    assert code == 2
+    assert out == "" and err.startswith("usage error: --threads")
+
+
+def test_contour_has_no_panel_option(capsys):
+    code, out, _ = run(capsys, "contour", "right", "--n", "6", "--quad-panels", "4")
+    assert code == 2
+    assert out == ""
 
 
 def test_seq_missing_n(capsys):

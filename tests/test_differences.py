@@ -157,10 +157,11 @@ def test_sequence_many_matches_single_calls_bitwise():
         assert single == p.value
 
 
-def test_sequence_many_threaded_is_bit_identical():
-    serial = differences.sequence_many("b", list(range(2, 26)), 15, threads=1)
-    threaded = differences.sequence_many("b", list(range(2, 26)), 15, threads=4)
-    assert [p.value for p in serial] == [p.value for p in threaded]
+def test_sequence_many_takes_no_thread_count():
+    # the batch runs in the calling thread; the CLI's --threads is kept for
+    # compatibility and changes no byte (test_cli.test_seq_threads_bitwise_identical)
+    with pytest.raises(TypeError):
+        differences.sequence_many("b", list(range(2, 26)), 15, threads=4)
 
 
 def test_sequence_many_rejects_empty_and_unknown():
