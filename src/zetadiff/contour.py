@@ -22,11 +22,12 @@ Two families:
   sqrt(2 pi n)), and finishes with a vertical ray once Re s has dropped
   to c1 sqrt(n).
 
-Quadrature is composite Gauss-Legendre with nodes cached per degree, exact
-sums (`mpmath.fsum`, rounded once) of the nodes and of the panel
-contributions, and an embedded error estimate: each panel's rule against one
-of half its degree.  The degree is 32, or 64 on a left line truncated above
-T = 2000; a `ContourSpec` may name another degree, and a truncation height.
+Quadrature is composite Gauss-Legendre with nodes built in fixed point and
+cached per degree, exact sums (`mpmath.fsum`, rounded once) of the nodes and
+of the panel contributions, and an embedded error estimate: each panel's rule
+against one of half its degree.  The degree is 32, or 64 on a left line
+truncated above T = 2000; a `ContourSpec` may name another degree, and a
+truncation height.
 A Rice line's grid starts with panels whose widths double away from t = 0
 (the integrands peak there and decay fast), but its first panel is never
 narrower than w0 = 10^(-working/degree): each integrand is analytic in the
@@ -44,6 +45,11 @@ tolerance, with the bound joining the error estimate; mpmath otherwise,
 which is mostly the head of each contour where the integrand is largest.
 There zeta comes from `mpcore._zeta_borwein`, mpmath's bits with the
 amplitudes k^-(Re s) shared by every node of a line through one bounded table.
+The left line reflects: zeta(s) = chi(s) zeta(1 - s), with zeta(1 - s) from
+`_zeta_borwein` on Re s = 3/2 at the line's working digits, and chi in closed
+form at a few more digits, as many more as t has (`_left_reflection`).  The
+Rice kernel n!/(s(s-1)...(s-n)) is one fixed-point product (`_rice_kernel`),
+and each Rice integrand forms only the real part it returns.
 Truncation heights come from explicit tail bounds; a user-supplied height
 that cannot meet the tolerance, or a quadrature that runs out of its panel
 budget, raises TruncationBoundError rather than returning a silently wrong
@@ -59,7 +65,10 @@ from dataclasses import dataclass
 
 import mpmath
 from mpmath import mpf, mpc, workdps
-from mpmath.libmp import from_int, mpc_mpf_div, mpc_mul, mpc_one, mpc_sub_mpf
+from mpmath.libmp import (
+    dps_to_prec, fone, from_man_exp, mpc_gamma, mpc_mpf_div, mpc_mul, mpc_mul_mpf, mpf_add, mpf_cos_sin,
+    mpf_cosh_sinh, mpf_div, mpf_log, mpf_mul, mpf_neg, mpf_pi, mpf_shift, mpf_sqrt, mpf_sub, round_nearest,
+)
 
 from . import mpcore
 from .asymptotics import envelope_bound
@@ -74,6 +83,8 @@ RICE_KINDS = ("zeta-right", "zeta-left", "inv-zeta")
 
 _MAX_RICE_N = 100
 _MAX_TARGET = 30
+
+_THREE_HALVES = from_man_exp(3, -1)
 
 
 @dataclass(frozen=True)
@@ -131,43 +142,45 @@ def legendre_rule(degree: int):
     return _legendre_nodes(degree)
 
 
-def _legendre_eval(degree: int, x):
-    """P_degree(x) and its derivative by the three-term recurrence, in the
-    arithmetic of x (float or mpf)."""
-    p0, p1 = 1, x
-    for k in range(2, degree + 1):
-        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-    return p1, degree * (x * p1 - p0) / (x * x - 1)
-
-
-def _newton_root(degree: int, x, eps, steps: int):
-    """Newton's iteration for a root of P_degree from x, until a step is
-    below eps or after `steps` steps."""
-    for _ in range(steps):
-        p, dp = _legendre_eval(degree, x)
-        dx = p / dp
-        x = x - dx
-        if abs(dx) < eps:
-            break
-    return x
-
-
 @functools.lru_cache(maxsize=None)
 def _legendre_nodes(degree: int):
-    dps = _GL_WORKING + 10
-    with workdps(dps):
-        eps = mpf(10) ** (-dps)
-        half = []
-        # the roots are symmetric about 0: build the positive ones (and 0
-        # for odd degree), Newton from the Chebyshev-like guess in float64
-        # and then at dps digits, and mirror the rest by exact negation
-        for i in range(1, (degree + 1) // 2 + 1):
-            x = _newton_root(degree, math.cos(math.pi * (i - 0.25) / (degree + 0.5)), 1e-15, 20)
-            x = _newton_root(degree, mpf(x), eps, 60)
-            dp = _legendre_eval(degree, x)[1]
-            half.append((+x, +(2 / ((1 - x * x) * dp * dp))))
-        # negation at the precision x was rounded to is exact
-        return tuple(half + [(-x, w) for x, w in reversed(half[: degree // 2])])
+    """Gauss-Legendre nodes and weights by Newton's method on fixed-point
+    integers (value times 2^F, F = prec + 20 for the prec bits of
+    _GL_WORKING + 10 digits); each node x and weight 2 / ((1 - x^2)
+    P_degree'(x)^2) is rounded once to prec."""
+    prec = dps_to_prec(_GL_WORKING + 10)
+    F = prec + 20
+    one = 1 << F
+    make = mpmath.mp.make_mpf
+
+    def p_dp(x):
+        # P_degree(x) and its derivative by the three-term recurrence; the
+        # 20 guard bits absorb what its floors add
+        p0, p1 = one, x
+        for k in range(2, degree + 1):
+            p0, p1 = p1, (((2 * k - 1) * x * p1 >> F) - (k - 1) * p0) // k
+        return p1, (degree * ((x * p1 >> F) - p0) << F) // ((x * x >> F) - one)
+
+    half = []
+    # the roots are symmetric about 0: build the positive ones (and 0 for
+    # odd degree) from the Chebyshev-like guess, and mirror the rest
+    for i in range(1, (degree + 1) // 2 + 1):
+        guess = math.cos(math.pi * (i - 0.25) / (degree + 0.5))
+        # the middle root of an odd degree is 0, where P_degree is exactly 0
+        x = 0 if 2 * i - 1 == degree else int(guess * 2.0**53) << (F - 53)
+        for _ in range(60):
+            p, dp = p_dp(x)
+            dx = (p << F) // dp
+            x -= dx
+            if abs(dx) < 1 << 20:
+                # the error before this step was about |dx|, so after it
+                # only the recurrence's rounding is left
+                break
+        dp = p_dp(x)[1]
+        w = (2 << 4 * F) // ((one - (x * x >> F)) * dp * dp)
+        half.append((from_man_exp(x, -F, prec, round_nearest), from_man_exp(w, -F, prec, round_nearest)))
+    nodes = half + [(mpf_neg(x), w) for x, w in reversed(half[: degree // 2])]
+    return tuple((make(x), make(w)) for x, w in nodes)
 
 
 def _graded_boundaries(a, b, panels: int, min_width=0):
@@ -328,15 +341,75 @@ def rice_sum_residues(phi, n0: int, n: int, prec=15):
 
 
 def _rice_kernel(s, n: int, fact):
-    """n!/(s(s-1)...(s-n)) as fact / running product, fact = exp(ln n!) from
-    the line's setup; each s - j, each product and the quotient rounded once
-    at the ambient precision, as mpc arithmetic rounds them."""
+    """fact/(s(s-1)...(s-n)), fact = exp(ln n!) from the line's setup, at the
+    ambient precision prec, rounding to nearest.
+
+    Each s - j is an exact Gaussian integer times a power of 2.  The running
+    product keeps W = prec + 10 bits: after each step one shift truncates
+    both parts by under a unit, |error| < sqrt(2) units while the product is
+    at least 2^(W-1) units, so each step errs by under 2^(1.5-W) relative.
+    The quotient (`mpc_mpf_div`: |p|^2 to prec + 10 bits, each part rounded
+    once) adds at most (1 + 2^-9) 2^-prec, so the result is within
+    (1 + (n + 2)/256) 2^-prec relative of fact/prod(s - j)."""
     prec, rnd = mpmath.mp._prec_rounding
-    z = s._mpc_
-    prod = mpc_one
-    for j in range(n + 1):
-        prod = mpc_mul(prod, mpc_sub_mpf(z, from_int(j), prec, rnd), prec, rnd)
+    width = prec + 10
+    (asign, aman, aexp, _), (bsign, bman, bexp, _) = s._mpc_
+    a = -aman if asign else aman
+    b = -bman if bsign else bman
+    # a common exponent e <= 0 (a zero part has man 0 and exp 0), so that
+    # s - j = (a - j 2^-e) + i b, all in units of 2^e
+    e = min(aexp if aman else 0, bexp if bman else 0, 0)
+    a <<= aexp - e if aman else 0
+    b <<= bexp - e if bman else 0
+    step = 1 << -e
+    x, y, ex = 1, 0, 0  # the product is (x + i y) 2^ex
+    for _ in range(n + 1):
+        x, y = x * a - y * b, x * b + y * a
+        shift = max(abs(x).bit_length(), abs(y).bit_length()) - width
+        if shift > 0:
+            x >>= shift
+            y >>= shift
+            ex += shift
+        ex += e
+        a -= step
+    prod = (from_man_exp(x, ex), from_man_exp(y, ex))
     return mpmath.mp.make_mpc(mpc_mpf_div(fact._mpf_, prod, prec, rnd))
+
+
+def _re_mul(z, w) -> mpf:
+    """Re(z w), with the bits of (z * w).real at the ambient precision."""
+    prec, rnd = mpmath.mp._prec_rounding
+    (a, b), (c, d) = z._mpc_, w._mpc_
+    return mpmath.mp.make_mpf(mpf_sub(mpf_mul(a, c), mpf_mul(b, d), prec, rnd))
+
+
+def _re_div(z, w) -> mpf:
+    """Re(z / w), with the bits of (z / w).real at the ambient precision."""
+    prec, rnd = mpmath.mp._prec_rounding
+    (a, b), (c, d) = z._mpc_, w._mpc_
+    mag = mpf_add(mpf_mul(c, c), mpf_mul(d, d), prec + 10)
+    return mpmath.mp.make_mpf(mpf_div(mpf_add(mpf_mul(a, c), mpf_mul(b, d), prec + 10), mag, prec, rnd))
+
+
+def _left_reflection(t, working: int) -> mpc:
+    """chi(s) of zeta(s) = chi(s) zeta(1 - s) at s = -1/2 + it, t >= 0, in
+    closed form:
+
+        sqrt(2) (2 pi)^(-3/2) e^(it ln 2 pi) (-cosh(pi t/2) + i sinh(pi t/2)) Gamma(3/2 - it),
+
+    where sqrt(2) (2 pi)^(-3/2) = 1/(2 pi^(3/2)).  The exponentials'
+    arguments grow like t, so a relative error u in them costs t u: chi is
+    evaluated at working + ceil(log10(1 + t)) + 2 digits and rounded once
+    to the ambient precision."""
+    prec, rnd = mpmath.mp._prec_rounding
+    wp = dps_to_prec(working + math.ceil(math.log10(1 + float(t))) + 2)
+    t = t._mpf_
+    pi = mpf_pi(wp)
+    ch, sh = mpf_cosh_sinh(mpf_shift(mpf_mul(pi, t, wp), -1), wp)
+    c, s = mpf_cos_sin(mpf_mul(t, mpf_log(mpf_shift(pi, 1), wp), wp), wp)
+    chi = mpc_mul(mpc_mul((c, s), (mpf_neg(ch), sh), wp), mpc_gamma((_THREE_HALVES, mpf_neg(t)), wp), wp)
+    scale = mpf_div(fone, mpf_shift(mpf_mul(pi, mpf_sqrt(pi, wp), wp), 1), wp)
+    return mpmath.mp.make_mpc(mpc_mul_mpf(chi, scale, prec, rnd))
 
 
 def _line_freq(n: int, ln_amp: float, tol: float):
@@ -381,8 +454,9 @@ def _line_data(kind: str, n: int, target: int):
             c = mpf("-0.5")
 
             def f(t):
-                s = c + mpc(0, 1) * t
-                return (mpcore.zeta_cx(s) * _rice_kernel(s, n, fact)).real
+                # zeta(s) = chi(s) zeta(1 - s), and 1 - s = 3/2 - it
+                zeta = _left_reflection(t, working) * mpcore._zeta_borwein(mpc(1.5, -t))
+                return _re_mul(zeta, _rice_kernel(mpc(c, t), n, fact))
 
             lg_fact = math.lgamma(n + 1)
 
@@ -410,9 +484,9 @@ def _line_data(kind: str, n: int, target: int):
         ln_fact_f = float(ln_fact)
 
         def f(t):
-            s = c + mpc(0, 1) * t
+            s = mpc(c, t)
             kern, z = _rice_kernel(s, n, fact), mpcore._zeta_borwein(s)
-            return (kern / z if inverse else z * kern).real
+            return _re_div(kern, z) if inverse else _re_mul(z, kern)
 
         def g(t, dt):
             return _rice_line_float(t, dt, n, ln_fact_f, inverse)
@@ -475,8 +549,11 @@ def rice_integral(kind: str, n: int, prec=15, spec: ContourSpec | None = None) -
         tol_abs = mpf(10) ** (-(target + 1)) * scale
         T, bound = _choose_height(tail, tol_abs, spec.T, f"{kind} line integral at n={n}")
 
-        # unless the spec names one: long left lines are oscillation-dominated,
-        # and a wider panel rule absorbs more phase per node
+        # unless the spec names one: degree 64 on long left lines.  It is no
+        # longer cheaper there than 32, since the float64 tier takes most
+        # panels (n = 5, T = 6400: 6.25-8.16 s at 64, 6.35-7.58 s at 32), but
+        # 32 moves the error estimate that `contour left --n 5` prints
+        # (+1.36e-14 becomes +1.37e-14)
         degree = spec.degree or (64 if kind == "zeta-left" and float(T) > 2000 else 32)
         rule_hi, rule_lo = _embedded_rules(degree)
         # no start panel narrower than w0 (see the module docstring)

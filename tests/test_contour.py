@@ -50,6 +50,19 @@ def test_legendre_rule_cached():
     assert a is b
 
 
+@pytest.mark.parametrize("degree", [6, 16, 32, 64])
+def test_legendre_rules_integrate_even_powers_at_60_digits(degree):
+    rule = contour.legendre_rule(degree)
+    with workdps(80):  # the nodes carry 68 digits, so negation is exact here
+        # nodes mirror about 0 with equal weights
+        assert all(x == -y and w == v for (x, w), (y, v) in zip(rule, reversed(rule)))
+    with workdps(60):
+        assert abs(mpmath.fsum(w for _, w in rule) - 2) < mpf("1e-55")
+        for k in range(degree):  # x^(2k) for 2k <= 2 degree - 2
+            got = mpmath.fsum(w * x ** (2 * k) for x, w in rule)
+            assert abs(got - mpf(2) / (2 * k + 1)) < mpf("1e-55")
+
+
 def test_rice_sum_residues_matches_delta():
     val = contour.rice_sum_residues(mpmath.zeta, 2, 12, 20)
     want = differences.delta(12, 20).value
@@ -230,6 +243,39 @@ def test_float_tier_bits_do_not_depend_on_builtin_sum(monkeypatch):
         test_left_line_float_bits_are_pinned(key)
     for key in _SADDLE_BITS:
         test_saddle_float_bits_are_pinned(key)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n=st.integers(min_value=2, max_value=100),
+    c=st.sampled_from(["-0.5", "1.5"]),
+    t3=st.floats(min_value=0.0, max_value=3e4),
+    dps=st.integers(min_value=15, max_value=60),
+)
+def test_rice_kernel_within_its_stated_bound(n, c, t3, dps):
+    with workdps(dps):
+        s = mpc(mpf(c), mpf(t3) / 3)  # t in [0, 10^4], with a full mantissa
+        fact = mpmath.exp(mpmath.loggamma(n + 1))
+        got = contour._rice_kernel(s, n, fact)
+        prec = mpmath.mp.prec
+    with workdps(dps + 40):
+        want = fact / mpmath.fprod(s - j for j in range(n + 1))
+        assert abs(got - want) <= (1 + mpf(n + 2) / 256) * mpf(2) ** -prec * abs(want)
+
+
+@pytest.mark.parametrize("n, target", [(5, 10), (20, 10), (60, 20), (100, 30)])
+def test_left_line_integrand_within_30_units_of_its_working_digits(n, target):
+    # the reflection factor's exponentials need digits that grow with log t;
+    # at plain working digits this grid reads 520 to 1,100 units
+    working, f = contour._line_data("zeta-left", n, target)[:2]
+    for k in range(14):
+        with workdps(working):
+            t = mpf("0.01") * mpf(630000) ** (mpf(k) / 13)  # 0.01 to 6300
+            got = f(t)
+        with workdps(working + 40):
+            s = mpc(-0.5, t)
+            want = mpmath.zeta(s) * mpmath.factorial(n) / mpmath.fprod(s - j for j in range(n + 1))
+            assert abs(got - want.real) <= 30 * mpf(10) ** -working * abs(want)
 
 
 @pytest.mark.parametrize("kind, n", [("zeta-left", 5), ("zeta-left", 20), ("zeta-right", 20), ("inv-zeta", 10)])
