@@ -26,7 +26,6 @@ from .asymptotics import (
     sign_change_indices,
 )
 from .contour import (
-    ContourSpec,
     QuadratureResult,
     rice_integral,
     rice_sum_residues,
@@ -78,7 +77,6 @@ __all__ = [
     "AsymptoticEstimate",
     "BetaFitResult",
     "CharacterTable",
-    "ContourSpec",
     "D_of",
     "DomainError",
     "FitError",

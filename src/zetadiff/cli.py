@@ -22,13 +22,11 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 import mpmath
 from mpmath import mpc, mpf, workdps
 
 from . import asymptotics, contour, differences, mpcore, series
-from .contour import ContourSpec
 from .errors import (
     DomainError,
     FitError,
@@ -42,24 +40,8 @@ _CONTOUR_KINDS = {"right": "zeta-right", "left": "zeta-left", "inv": "inv-zeta"}
 _COMPUTE_FLOOR = 10
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """What one parsed invocation computes; `_dispatch` emits it."""
-
-    ns: tuple[int, ...] = ()
-    m: int = 1
-    k: int = 1
-    digits: int = 15
-    method: str | None = None
-    quad_T: float | None = None
-
-    def __post_init__(self):
-        if self.digits < 1:
-            raise DomainError(f"--digits must be >= 1, got {self.digits}")
-
-    @property
-    def compute_digits(self) -> int:
-        return max(self.digits, _COMPUTE_FLOOR)
+def _compute_digits(args) -> int:
+    return max(args.digits, _COMPUTE_FLOOR)
 
 
 # (rho, coefficient magnitude) of the first two nontrivial zeros in the
@@ -142,41 +124,41 @@ def _render(body, extra, columns, fmt: str) -> str:
 # commands
 
 
-def _seq_rows(config: RunConfig, points) -> list[dict]:
+def _seq_rows(args, points) -> list[dict]:
     """Emit-ready rows of (n, value, method) triples at the display digits."""
     return [
-        {"n": n, "value": format_decimal(value, config.digits), "method": method,
-         "digits": config.digits}
+        {"n": n, "value": format_decimal(value, args.digits), "method": method,
+         "digits": args.digits}
         for n, value, method in points
     ]
 
 
-def cmd_sequence(config: RunConfig, kind: str) -> list[dict]:
+def cmd_sequence(args) -> list[dict]:
     """Sequence values over the requested indices as emit-ready rows."""
     points = differences.sequence_many(
-        kind, list(config.ns), config.compute_digits, (config.m, config.k), config.method
+        args.kind, list(args.ns), _compute_digits(args), (args.m, args.k), args.method
     )
-    return _seq_rows(config, ((p.n, p.value, p.method) for p in points))
+    return _seq_rows(args, ((p.n, p.value, p.method) for p in points))
 
 
-def cmd_asym(config: RunConfig, kind: str) -> list[dict]:
+def cmd_asym(args) -> list[dict]:
     """Asymptotic main terms as emit-ready rows."""
-    digits = config.compute_digits
+    digits = _compute_digits(args)
     main, method = {
         "b": (lambda n: asymptotics.b_asym(n, digits).main, "main-term"),
-        "a": (lambda n: asymptotics.a_asym(n, (config.m, config.k), digits).main,
+        "a": (lambda n: asymptotics.a_asym(n, (args.m, args.k), digits).main,
               "main-term(derived)"),
         "an12": (lambda n: asymptotics.an12_main(n, digits), "A-main(1,2)"),
-    }[kind]
-    return _seq_rows(config, ((n, main(n), method) for n in config.ns))
+    }[args.kind]
+    return _seq_rows(args, ((n, main(n), method) for n in args.ns))
 
 
-def cmd_signs(config: RunConfig):
+def cmd_signs(args):
     """Sign-change census for b_n plus the quadratic fit of change ranks."""
-    n_max = config.ns[-1]
+    n_max = args.ns[-1]
     if n_max < 10:
         raise DomainError(f"signs needs n_max >= 10, got {n_max}")
-    digits = max(12, config.compute_digits)
+    digits = max(12, _compute_digits(args))
     quarter_pi = mpmath.pi / 4
     try:
         fit = asymptotics.beta_fit(range(1, n_max + 1), target_digits=digits)
@@ -204,11 +186,11 @@ def cmd_signs(config: RunConfig):
     return lines, fields
 
 
-def cmd_figure2(config: RunConfig) -> list[dict]:
+def cmd_figure2(args) -> list[dict]:
     """Exact and asymptotic b_n, both scaled by e^(2 sqrt(pi n)) n^(-1/4)."""
-    points = differences.sequence_many("b", list(config.ns), target_digits=config.compute_digits)
+    points = differences.sequence_many("b", list(args.ns), target_digits=_compute_digits(args))
     rows = []
-    with workdps(config.compute_digits + 10):
+    with workdps(_compute_digits(args) + 10):
         for p in points:
             nn = mpf(p.n)
             root = 2 * mpmath.sqrt(mpmath.pi * nn)
@@ -218,19 +200,19 @@ def cmd_figure2(config: RunConfig) -> list[dict]:
             rows.append(
                 {
                     "n": p.n,
-                    "scaled_exact": format_decimal(exact, config.digits),
-                    "scaled_asym": format_decimal(asym, config.digits),
+                    "scaled_exact": format_decimal(exact, args.digits),
+                    "scaled_asym": format_decimal(asym, args.digits),
                 }
             )
     return rows
 
 
-def cmd_identity(config: RunConfig):
+def cmd_identity(args):
     """Display c_n - H_n + 1 against gamma with the exact 1/(2(n+1)) offset."""
-    n = config.ns[-1]
+    n = args.ns[-1]
     if n < 2:
         raise DomainError(f"identity needs n >= 2, got {n}")
-    digits = config.digits
+    digits = args.digits
     point = differences.c(n, digits + 10)
     with workdps(digits + 15):
         lhs = point.value - mpcore.harmonic_mpf(n, digits + 15) + 1
@@ -259,7 +241,7 @@ def cmd_identity(config: RunConfig):
     return lines, fields
 
 
-def cmd_zero_model(config: RunConfig):
+def cmd_zero_model(args):
     """Per-zero oscillation terms coeff * n^Re(rho) * cos(Im(rho) ln n).
 
     This is an illustrative model, not a computation of the grouped
@@ -270,7 +252,7 @@ def cmd_zero_model(config: RunConfig):
         "illustrative model, not a computation of the grouped zero sum",
         "term(n) = coeff * n^Re(rho) * cos(Im(rho) * ln n)",
     ]
-    with workdps(config.compute_digits + 10):
+    with workdps(_compute_digits(args) + 10):
         for i, (rho, coeff) in enumerate(_MODEL_ZEROS, start=1):
             n_unit = (1 / coeff) ** (1 / rho.real)
             comments.append(
@@ -278,7 +260,7 @@ def cmd_zero_model(config: RunConfig):
                 f"amplitude reaches 1 near n = {format_decimal(n_unit, 3)}"
             )
         rows = []
-        for n in config.ns:
+        for n in args.ns:
             if n < 2:
                 raise DomainError(f"zero-model needs n >= 2, got {n}")
             nn = mpf(n)
@@ -289,26 +271,26 @@ def cmd_zero_model(config: RunConfig):
                     {
                         "n": n,
                         "zero": i,
-                        "term": format_decimal(term, config.digits),
-                        "envelope": format_decimal(envelope, config.digits),
+                        "term": format_decimal(term, args.digits),
+                        "envelope": format_decimal(envelope, args.digits),
                     }
                 )
     return rows, comments
 
 
-def cmd_contour(config: RunConfig, token: str):
+def cmd_contour(args):
     """One contour-oracle evaluation as report lines."""
+    token = args.kind
     if token == "saddle":
         oracle = contour.saddle_contour_integral
     else:
         oracle = functools.partial(contour.rice_integral, _CONTOUR_KINDS[token])
-    spec = ContourSpec(T=config.quad_T)
-    results = [(n, oracle(n, config.compute_digits, spec)) for n in config.ns]
+    results = [(n, oracle(n, _compute_digits(args), T=args.quad_T)) for n in args.ns]
     lines = []
     fields = []
     for n, res in results:
         lines.append(
-            f"{token} n={n}: value = {format_decimal(res.value, config.digits)}  "
+            f"{token} n={n}: value = {format_decimal(res.value, args.digits)}  "
             f"error_estimate = {format_decimal(res.error_estimate, 3)}  "
             f"T = {mpmath.nstr(res.truncation_height, 6)}"
         )
@@ -316,7 +298,7 @@ def cmd_contour(config: RunConfig, token: str):
             {
                 "kind": token,
                 "n": n,
-                "value": format_decimal(res.value, config.digits),
+                "value": format_decimal(res.value, args.digits),
                 "error_estimate": format_decimal(res.error_estimate, 3),
                 "truncation_height": mpmath.nstr(res.truncation_height, 8),
                 "truncation_bound": format_decimal(res.truncation_bound, 3),
@@ -327,19 +309,19 @@ def cmd_contour(config: RunConfig, token: str):
     return lines, fields
 
 
-def cmd_newton(config: RunConfig, s_text: str):
+def cmd_newton(args):
     """Evaluate the Newton partial sum at s with its tail certificate."""
-    s = _parse_complex(s_text)
-    N = config.ns[-1]
-    value, tail = series.newton_eval(s, N, config.compute_digits)
+    s = _parse_complex(args.s)
+    N = args.ns[-1]
+    value, tail = series.newton_eval(s, N, _compute_digits(args))
     # keep the full-precision mantissa; mpc() would re-round at ambient dps
     re = value.real if isinstance(value, mpc) else value
     im = value.imag if isinstance(value, mpc) else mpf(0)
     fields = {
-        "s": s_text.strip(),
+        "s": args.s.strip(),
         "N": N,
-        "value_re": format_decimal(re, config.digits),
-        "value_im": format_decimal(im, config.digits),
+        "value_re": format_decimal(re, args.digits),
+        "value_im": format_decimal(im, args.digits),
         "tail_bound": format_decimal(tail, 3),
     }
     return [f"{key} = {text}" for key, text in fields.items()], fields
@@ -357,9 +339,10 @@ def _gf_worst(order: int, digits: int) -> tuple[mpf, mpf]:
                 max(abs(eg.coeff(p.n) * mpmath.factorial(p.n) - p.value) for p in points))
 
 
-def cmd_gf_check(config: RunConfig, order: int):
+def cmd_gf_check(args):
     """Compare both generating-function expansions against delta_n."""
-    digits = config.compute_digits
+    order = args.order
+    digits = _compute_digits(args)
     worst_og, worst_eg = _gf_worst(order, digits)
     with workdps(digits + 20):
         threshold = mpf(10) ** (-digits)
@@ -537,24 +520,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("gf-check", help="generating-function cross-check")
     sp.add_argument("--order", type=int, default=12)
-    common(sp, digits=30, n_default="12")
+    common(sp, digits=30)
 
     sp = sub.add_parser("verify", help="invariant suites")
     sp.add_argument("suite", choices=("fast", "full"))
     return parser
-
-
-def _config_from(args) -> RunConfig:
-    if args.threads < 1:
-        raise DomainError(f"--threads must be >= 1, got {args.threads}")
-    return RunConfig(
-        ns=_parse_ns(getattr(args, "n_range", None) or args.n),
-        m=getattr(args, "m", 1),
-        k=getattr(args, "k", 1),
-        digits=args.digits,
-        method=getattr(args, "method", None),
-        quad_T=getattr(args, "quad_T", None),
-    )
 
 
 _SEQ_COLUMNS = ("n", "value", "method", "digits")
@@ -562,26 +532,34 @@ _SEQ_COLUMNS = ("n", "value", "method", "digits")
 # command -> (handler, table columns, or None for a report); a handler maps
 # the parsed arguments to (body, extra, exit status) for `_render`
 _COMMANDS = {
-    "seq": (lambda a: (cmd_sequence(_config_from(a), a.kind), (), 0), _SEQ_COLUMNS),
-    "asym": (lambda a: (cmd_asym(_config_from(a), a.kind), (), 0), _SEQ_COLUMNS),
-    "figure2": (lambda a: (cmd_figure2(_config_from(a)), (), 0),
-                ("n", "scaled_exact", "scaled_asym")),
-    "zero-model": (lambda a: (*cmd_zero_model(_config_from(a)), 0),
-                   ("n", "zero", "term", "envelope")),
-    "signs": (lambda a: (*cmd_signs(_config_from(a)), 0), None),
-    "identity": (lambda a: (*cmd_identity(_config_from(a)), 0), None),
-    "contour": (lambda a: (*cmd_contour(_config_from(a), a.kind), 0), None),
-    "newton": (lambda a: (*cmd_newton(_config_from(a), a.s), 0), None),
-    "gf-check": (lambda a: cmd_gf_check(_config_from(a), a.order), None),
+    "seq": (lambda a: (cmd_sequence(a), (), 0), _SEQ_COLUMNS),
+    "asym": (lambda a: (cmd_asym(a), (), 0), _SEQ_COLUMNS),
+    "figure2": (lambda a: (cmd_figure2(a), (), 0), ("n", "scaled_exact", "scaled_asym")),
+    "zero-model": (lambda a: (*cmd_zero_model(a), 0), ("n", "zero", "term", "envelope")),
+    "signs": (lambda a: (*cmd_signs(a), 0), None),
+    "identity": (lambda a: (*cmd_identity(a), 0), None),
+    "contour": (lambda a: (*cmd_contour(a), 0), None),
+    "newton": (lambda a: (*cmd_newton(a), 0), None),
+    "gf-check": (cmd_gf_check, None),
     "verify": (lambda a: cmd_verify(a.suite), None),
 }
 
 
 def _dispatch(args) -> int:
+    """Check the common options once, parse the indices into `args.ns`, and
+    emit what the command's handler returns."""
     handler, columns = _COMMANDS[args.command]
     out = getattr(args, "out", None)
     if out:
         _check_out(out)
+    if args.command != "verify":
+        if args.threads < 1:
+            raise DomainError(f"--threads must be >= 1, got {args.threads}")
+        indices = getattr(args, "n_range", None) or getattr(args, "n", None)
+        if indices is not None:
+            args.ns = _parse_ns(indices)
+        if args.digits < 1:
+            raise DomainError(f"--digits must be >= 1, got {args.digits}")
     body, extra, code = handler(args)
     _emit(_render(body, extra, columns, getattr(args, "fmt", "csv")), out)
     return code

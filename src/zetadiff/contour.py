@@ -20,14 +20,14 @@ Two families:
   steepest-descent slant through the saddle sigma = (1+i) sqrt(pi n)
   (direction e^(5 i pi/8); the slant crosses the axis at exactly
   sqrt(2 pi n)), and finishes with a vertical ray once Re s has dropped
-  to c1 sqrt(n).
+  to sqrt(n).
 
 Quadrature is composite Gauss-Legendre with nodes built in fixed point and
 cached per degree, exact sums (`mpmath.fsum`, rounded once) of the nodes and
 of the panel contributions, and an embedded error estimate: each panel's rule
-against one of half its degree.  The degree is 32, or 64 on a left line
-truncated above T = 2000; a `ContourSpec` may name another degree, and a
-truncation height.
+against one of half its degree.  The degree is the oracle's own: 32, or 64
+on a left line truncated above T = 2000.  A caller may name the truncation
+height T.
 A Rice line's grid starts with panels whose widths double away from t = 0
 (the integrands peak there and decay fast), but its first panel is never
 narrower than w0 = 10^(-working/degree): each integrand is analytic in the
@@ -77,8 +77,6 @@ from .errors import DomainError, TruncationBoundError
 from .floattier import _U, _left_line_float, _ray_float, _rice_line_float, _slant_float
 from .precision import as_budget, digits
 
-SQRT_PI = math.sqrt(math.pi)
-
 RICE_KINDS = ("zeta-right", "zeta-left", "inv-zeta")
 
 _MAX_RICE_N = 100
@@ -86,29 +84,10 @@ _MAX_TARGET = 30
 
 _THREE_HALVES = from_man_exp(3, -1)
 
-
-@dataclass(frozen=True)
-class ContourSpec:
-    """Contour geometry: the saddle's ray abscissa c1 sqrt(n) and axis start
-    c2, a truncation height T, and the Gauss-Legendre degree; T and degree
-    None let the oracle choose."""
-
-    c1: float = 1.0
-    c2: float = 3.0
-    T: float | None = None
-    degree: int | None = None
-
-    def __post_init__(self):
-        if not (0 < self.c1 < SQRT_PI < self.c2 < 2 * SQRT_PI):
-            raise DomainError(
-                "the saddle contour needs 0 < c1 < sqrt(pi) < c2 < 2 sqrt(pi), "
-                f"got c1={self.c1}, c2={self.c2}"
-            )
-        if self.T is not None and not 0 < self.T < math.inf:
-            raise DomainError(f"truncation height must be finite and positive, got {self.T}")
-        if self.degree is not None and not 3 <= self.degree <= 256:
-            # below 3 there is no smaller rule left for the error estimate
-            raise DomainError(f"Gauss-Legendre degree must be in 3..256, got {self.degree}")
+# Gauss-Legendre degree of every panel rule, and of a left line truncated
+# above T = 2000
+_DEGREE = 32
+_LONG_LEFT_DEGREE = 64
 
 
 @dataclass(frozen=True)
@@ -201,7 +180,7 @@ def _gl_panel(f, a, b, rule):
 
 def _embedded_rules(degree: int):
     """The panel rule and the strictly smaller rule its error estimate compares."""
-    return legendre_rule(degree), legendre_rule(max(2, degree // 2))
+    return legendre_rule(degree), legendre_rule(degree // 2)
 
 
 def _float_panel(g, rule, mid, half):
@@ -341,8 +320,8 @@ def rice_sum_residues(phi, n0: int, n: int, prec=15):
 
 
 def _rice_kernel(s, n: int, fact):
-    """fact/(s(s-1)...(s-n)), fact = exp(ln n!) from the line's setup, at the
-    ambient precision prec, rounding to nearest.
+    """fact/(s(s-1)...(s-n)), fact = n! rounded once in the line's setup, at
+    the ambient precision prec, rounding to nearest.
 
     Each s - j is an exact Gaussian integer times a power of 2.  The running
     product keeps W = prec + 10 bits: after each step one shift truncates
@@ -449,7 +428,7 @@ def _line_data(kind: str, n: int, target: int):
     working = target + cancel + 12
     with workdps(working):
         ln_fact = mpmath.loggamma(n + 1)
-        fact = mpmath.exp(ln_fact)
+        fact = mpf(math.factorial(n))
         if kind == "zeta-left":
             c = mpf("-0.5")
 
@@ -499,6 +478,12 @@ def _line_data(kind: str, n: int, target: int):
         return working, f, g, tail, +scale, lambda tol: _line_freq(n, ln_amp, tol)
 
 
+def _check_height(T) -> None:
+    """Refuse a caller's truncation height that is not finite and positive."""
+    if T is not None and not 0 < T < math.inf:
+        raise DomainError(f"truncation height must be finite and positive, got {T}")
+
+
 def _choose_height(tail, tol_abs, T_given, what: str, T_start=4):
     """Smallest T of the geometric search with tail(T) <= tol_abs, or validate
     T_given; a T_given that fails is refused naming the search's T rounded up."""
@@ -526,11 +511,13 @@ def _choose_height(tail, tol_abs, T_given, what: str, T_start=4):
     raise TruncationBoundError(f"{what}: no truncation height up to {mpmath.nstr(T, 6)} meets tolerance")
 
 
-def rice_integral(kind: str, n: int, prec=15, spec: ContourSpec | None = None) -> QuadratureResult:
-    """Line-integral evaluation of delta_n (zeta-right), b_n (zeta-left) or d_n (inv-zeta).
+def rice_integral(kind: str, n: int, prec=15, *, T=None) -> QuadratureResult:
+    """Line-integral evaluation of delta_n (zeta-right), b_n (zeta-left) or d_n (inv-zeta),
+    truncated at height T, or at the smallest height the tail bound allows.
 
     Cross-validation oracle: capped at 30 target digits and n <= 100.
     """
+    _check_height(T)
     if kind not in RICE_KINDS:
         raise DomainError(f"unknown Rice line kind {kind!r}; expected one of {RICE_KINDS}")
     if not isinstance(n, int) or isinstance(n, bool) or n < 2:
@@ -542,19 +529,17 @@ def rice_integral(kind: str, n: int, prec=15, spec: ContourSpec | None = None) -
     target = digits(prec)[0]
     if target > _MAX_TARGET:
         raise DomainError(f"rice_integral is capped at {_MAX_TARGET} digits, got {target}")
-    spec = spec or ContourSpec()
 
     working, f, g, tail, scale, freq_for = _line_data(kind, n, target)
     with workdps(working):
         tol_abs = mpf(10) ** (-(target + 1)) * scale
-        T, bound = _choose_height(tail, tol_abs, spec.T, f"{kind} line integral at n={n}")
+        T, bound = _choose_height(tail, tol_abs, T, f"{kind} line integral at n={n}")
 
-        # unless the spec names one: degree 64 on long left lines.  It is no
-        # longer cheaper there than 32, since the float64 tier takes most
-        # panels (n = 5, T = 6400: 6.25-8.16 s at 64, 6.35-7.58 s at 32), but
-        # 32 moves the error estimate that `contour left --n 5` prints
-        # (+1.36e-14 becomes +1.37e-14)
-        degree = spec.degree or (64 if kind == "zeta-left" and float(T) > 2000 else 32)
+        # degree 64 on long left lines.  It is no longer cheaper there than
+        # 32, since the float64 tier takes most panels (n = 5, T = 6400:
+        # 6.25-8.16 s at 64, 6.35-7.58 s at 32), but 32 moves the error
+        # estimate that `contour left --n 5` prints (+1.36e-14 becomes +1.37e-14)
+        degree = _LONG_LEFT_DEGREE if kind == "zeta-left" and float(T) > 2000 else _DEGREE
         rule_hi, rule_lo = _embedded_rules(degree)
         # no start panel narrower than w0 (see the module docstring)
         w0 = mpf(10) ** (-mpf(working) / degree)
@@ -605,13 +590,15 @@ def _saddle_integrand(n: int, ln_fact):
     return F
 
 
-def saddle_contour_integral(n: int, prec=15, spec: ContourSpec | None = None) -> QuadratureResult:
-    """b_n from the slanted saddle contour.
+def saddle_contour_integral(n: int, prec=15, *, T=None) -> QuadratureResult:
+    """b_n from the slanted saddle contour, truncated at height T, or at the
+    smallest height the tail bound allows.
 
-    Pieces reported: `axis` (real-axis run from c2 to the slant crossing
+    Pieces reported: `axis` (the real-axis run up to the slant crossing
     sqrt(2 pi n); exactly real, so it contributes 0 to the imaginary part),
-    `slant`, and `vertical`.
+    `slant`, and `vertical` (the ray up from Re s = sqrt(n)).
     """
+    _check_height(T)
     if not isinstance(n, int) or isinstance(n, bool) or n < 4:
         raise DomainError(f"saddle_contour_integral needs an int n >= 4, got {n!r}")
     if n > 500:
@@ -619,23 +606,21 @@ def saddle_contour_integral(n: int, prec=15, spec: ContourSpec | None = None) ->
     target = digits(prec)[0]
     if target > _MAX_TARGET:
         raise DomainError(f"saddle_contour_integral is capped at {_MAX_TARGET} digits, got {target}")
-    spec = spec or ContourSpec()
 
     working = target + 18
     with workdps(working):
         ln_fact = mpmath.loggamma(n + 1)
         F = _saddle_integrand(n, ln_fact)
-        # sqrt(2 pi n) >= sqrt(8 pi) > 2 sqrt(pi) > c2, so the axis run is never empty
         x_cross = mpmath.sqrt(2 * mpmath.pi * n)
         e_dir = mpmath.exp(mpc(0, 1) * 5 * mpmath.pi / 8)
-        x_left = mpf(spec.c1) * mpmath.sqrt(n)
+        x_left = mpmath.sqrt(n)
         u_end = (x_cross - x_left) / (-e_dir.real)
         z_end = x_cross + u_end * e_dir
 
         scale = envelope_bound(n, working)
         tol_abs = mpf(10) ** (-(target + 1)) * scale
 
-        # vertical tail: |F| ~ t^(c1 sqrt(n) - n - 1/2) up the ray, so
+        # vertical tail: |F| ~ t^(sqrt(n) - n - 1/2) up the ray, so
         # integral above T is within 2 |F(T)| T / (p - 1) of zero
         p_decay = n + mpf("0.5") - x_left
 
@@ -647,11 +632,10 @@ def saddle_contour_integral(n: int, prec=15, spec: ContourSpec | None = None) ->
             return 2 * abs(F(x_left + mpc(0, 1) * T)) * T / max(mpf(1), p_decay - 1)
 
         T, bound = _choose_height(
-            tail, tol_abs, spec.T, f"saddle contour at n={n}", T_start=h_end * mpf("1.2")
+            tail, tol_abs, T, f"saddle contour at n={n}", T_start=h_end * mpf("1.2")
         )
 
-        degree = spec.degree or 32
-        rule_hi, rule_lo = _embedded_rules(degree)
+        rule_hi, rule_lo = _embedded_rules(_DEGREE)
 
         ln_fact_f = float(ln_fact)
         xl = float(x_left)
@@ -669,7 +653,7 @@ def saddle_contour_integral(n: int, prec=15, spec: ContourSpec | None = None) ->
             r = math.hypot(xl, max(t, 1e-6))
             return abs(math.log(r / (2 * math.pi))) + (n_f + 2) / max(t, 1e-6) + 0.1
 
-        vert_bounds = _osc_boundaries(float(h_end), float(T), vert_freq, degree)
+        vert_bounds = _osc_boundaries(float(h_end), float(T), vert_freq, _DEGREE)
         vert, err_v = _adaptive_quad(
             lambda t: F(x_left + mpc(0, 1) * t) * mpc(0, 1), vert_bounds, rule_hi, rule_lo, tol_abs / 4,
             g=_ray_float(xl, n, ln_fact_f), evaluations=evaluations,

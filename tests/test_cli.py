@@ -124,6 +124,13 @@ def test_seq_missing_n(capsys):
     assert code == 2
 
 
+def test_gf_check_has_no_index_option(capsys):
+    # the order is --order; an --n would be read by nothing
+    code, out, _ = run(capsys, "gf-check", "--n", "5", "--digits", "10")
+    assert code == 2
+    assert out == ""
+
+
 def test_bad_range_order(capsys):
     code, _, err = run(capsys, "seq", "b", "--n", "5..3")
     assert code == 2

@@ -1,6 +1,5 @@
 """Tests for the line-integral and slant-contour oracles."""
 
-import dataclasses
 import math
 
 import mpmath
@@ -10,29 +9,17 @@ from mpmath import mpc, mpf, workdps
 from mpmath.libmp import dps_to_prec, from_str, to_fixed
 
 from zetadiff import contour, differences, floattier, mpcore
-from zetadiff.contour import ContourSpec
 from zetadiff.errors import DomainError, TruncationBoundError
 
 
-def test_contour_spec_validation():
-    ContourSpec()
-    ContourSpec(c1=1.0, c2=3.0, T=50.0, degree=16)
-    # saddle geometry, height and degree are the whole surface, for both oracles
-    assert [f.name for f in dataclasses.fields(ContourSpec)] == ["c1", "c2", "T", "degree"]
-    with pytest.raises(DomainError):
-        ContourSpec(c1=2.0, c2=3.0)  # c1 > sqrt(pi)
-    with pytest.raises(DomainError):
-        ContourSpec(c1=1.0, c2=1.5)  # c2 < sqrt(pi)
-    with pytest.raises(DomainError):
-        ContourSpec(c1=1.0, c2=4.0)  # c2 > 2 sqrt(pi)
-    with pytest.raises(DomainError):
-        ContourSpec(T=-3.0)
-    with pytest.raises(DomainError):
-        ContourSpec(T=float("inf"))  # the panel grid would never reach it
-    with pytest.raises(DomainError):
-        ContourSpec(degree=1)
-    with pytest.raises(DomainError):
-        ContourSpec(degree=2)  # no smaller rule left for the error estimate
+def test_truncation_height_validation():
+    # inf too: the panel grid would never reach it
+    for T in (-3.0, float("inf")):
+        message = f"truncation height must be finite and positive, got {T}"
+        with pytest.raises(DomainError, match=message):
+            contour.rice_integral("zeta-right", 6, 10, T=T)
+        with pytest.raises(DomainError, match=message):
+            contour.saddle_contour_integral(10, 8, T=T)
 
 
 def test_legendre_rule_exactness():
@@ -278,6 +265,21 @@ def test_left_line_integrand_within_30_units_of_its_working_digits(n, target):
             assert abs(got - want.real) <= 30 * mpf(10) ** -working * abs(want)
 
 
+@pytest.mark.parametrize("n, target", [(20, 10), (60, 20), (100, 30)])
+def test_left_line_integrand_within_1_unit_of_its_working_digits(n, target):
+    # the grid of the 30-unit test: n! is rounded once, so no factor of the
+    # integrand errs by a unit
+    working, f = contour._line_data("zeta-left", n, target)[:2]
+    for k in range(14):
+        with workdps(working):
+            t = mpf("0.01") * mpf(630000) ** (mpf(k) / 13)  # 0.01 to 6300
+            got = f(t)
+        with workdps(working + 40):
+            s = mpc(-0.5, t)
+            want = mpmath.zeta(s) * mpmath.factorial(n) / mpmath.fprod(s - j for j in range(n + 1))
+            assert abs(got - want.real) <= mpf(10) ** -working * abs(want)
+
+
 @pytest.mark.parametrize("kind, n", [("zeta-left", 5), ("zeta-left", 20), ("zeta-right", 20), ("inv-zeta", 10)])
 def test_rice_float_bound_covers_the_node_error(kind, n):
     # g(t', dt) at a node t' = t + dt must bound its distance to f(t)
@@ -401,8 +403,9 @@ def test_rice_lines_share_the_bounded_amplitude_table(monkeypatch):
     assert len(mpcore._AMPLITUDES) == mpcore._AMPLITUDE_KEYS
 
 
-def test_rice_error_estimate_covers_error_at_low_degree():
-    res = contour.rice_integral("zeta-right", 10, 12, ContourSpec(degree=6))
+def test_rice_error_estimate_covers_error_at_low_degree(monkeypatch):
+    monkeypatch.setattr(contour, "_DEGREE", 6)
+    res = contour.rice_integral("zeta-right", 10, 12)
     want = differences.delta(10, 30).value
     with workdps(40):
         assert abs(res.value - want) <= res.error_estimate
@@ -414,7 +417,7 @@ class _RuleChosen(Exception):
 
 def test_left_line_degree_depends_on_the_height_only(monkeypatch):
     # a long left line takes degree 64 whether its height is searched for or
-    # given, and an explicit degree wins; stop at the rule, not integrate
+    # given; stop at the rule, not integrate
     chosen = []
 
     def spy(degree, *args):
@@ -422,10 +425,10 @@ def test_left_line_degree_depends_on_the_height_only(monkeypatch):
         raise _RuleChosen
 
     monkeypatch.setattr(contour, "_embedded_rules", spy)
-    for spec in (None, ContourSpec(T=6400.0), ContourSpec(T=6400.0, degree=32)):
+    for T in (None, 6400.0):
         with pytest.raises(_RuleChosen):
-            contour.rice_integral("zeta-left", 5, 10, spec)
-    assert chosen == [64, 64, 32]
+            contour.rice_integral("zeta-left", 5, 10, T=T)
+    assert chosen == [64, 64]
 
 
 def test_rice_reports_geometry():
@@ -440,7 +443,7 @@ def test_rice_reports_geometry():
 
 def test_rice_explicit_height_too_small():
     with pytest.raises(TruncationBoundError):
-        contour.rice_integral("zeta-right", 20, 12, ContourSpec(T=5.0))
+        contour.rice_integral("zeta-right", 20, 12, T=5.0)
 
 
 def test_adaptive_quad_out_of_panels_raises():
@@ -521,6 +524,3 @@ def test_saddle_contour_domain():
         contour.saddle_contour_integral(501)
     with pytest.raises(DomainError):
         contour.saddle_contour_integral(10, 31)
-    # c2 must sit left of the slant's axis crossing sqrt(2 pi n)
-    with pytest.raises(DomainError):
-        contour.saddle_contour_integral(4, 8, ContourSpec(c1=1.0, c2=5.1))

@@ -11,7 +11,9 @@ four long batches (c, d, a Newton sum and a sign census) were captured
 before batches took their zeta inputs from the fixed-point table; the
 census at n = 1000 reads one input near a rounding tie from mpmath.  The
 three single-index commands at the end were captured before a single index
-read its zeta inputs from the fixed-point table as well.
+read its zeta inputs from the fixed-point table as well.  The saddle
+contour at n = 50, in text and JSON, was captured before the oracles lost
+their contour settings object and took a truncation height alone.
 """
 
 from pathlib import Path
@@ -57,6 +59,8 @@ COMMANDS = {
     "seq-b-700-20": "seq b --n 700 --digits 20",
     "seq-c-350-40": "seq c --n 350 --digits 40",
     "seq-d-90-moebius-30": "seq d --n 90 --method moebius --digits 30",
+    "contour-saddle-50-8": "contour saddle --n 50 --digits 8",
+    "contour-saddle-50-8-json": "contour saddle --n 50 --digits 8 --format json",
 }
 
 
