@@ -14,10 +14,13 @@ targets get inflated into working budgets.
 
 Hurwitz values are not cached: `_hurwitz_fixed` builds a table of
 zeta(l, m/k)/k^l, l <= N, in one fixed-point pass, each entry a function of
-(l, m, k, P) alone and within 2 units of 2^-P.  `_zeta_rounded` rounds one
-grow-only m = k = 1 table to the bits `zeta_int` returns, for every sequence
-input; an entry it cannot decide falls back to `zeta_int`.  The table's
-Euler-Maclaurin tail takes exact Bernoulli numbers from `_bernoulli_even`.
+(l, m, k, P) alone and within 2 units of 2^-P.  Its Euler-Maclaurin tail
+takes exact Bernoulli numbers from `_bernoulli_even` and carries each term
+from l to l + 1 with one division by a small integer, afresh at every 16th
+l; for m = k = 1 the even entries come from the closed form of zeta(2j).
+`_zeta_rounded` rounds one grow-only m = k = 1 table to the bits `zeta_int`
+returns, for every sequence input; an entry it cannot decide falls back to
+`zeta_int`.
 
 Complex zeta goes through `_zeta_borwein`, which returns mpmath.zeta's bits
 but keeps the amplitudes k^-(Re s) of Borwein's sum across calls, for the
@@ -118,15 +121,30 @@ def _hurwitz_fixed(top: int, m: int, k: int, bits: int, bottom: int = 2) -> list
 
     - direct: floor(2^Q/u^l) = floor(floor(2^Q/u^(l-1))/u) for u = kj + m < U
       = kJ + m, the least such point with U/k >= x, 2 pi x = 3 (Q ln 2 + 16);
-    - tail: none if U^-l + U^(1-l)/(k(l-1)), which bounds it, is < 2^-Q; else
-      Euler-Maclaurin at x' = U/k, one exact floor per term, to the first M
-      whose remainder bound (Johansson 2014, Thm 1)
-      4 (l)_(2M) / (2 pi)^(2M) x'^(1-l-2M) / (l+2M-1) is below 2^-Q k^l.
+    - tail: none past L, the last l where U^-l + U^(1-l)/(k(l-1)), which
+      bounds it, is not below 2^-Q; else Euler-Maclaurin at x' = U/k.  The
+      leading terms are floor(a/(k(l-1))) and floor(a/(2U)), a =
+      floor(2^Q/U^(l-1)) by nested floors, and the terms T(l, i) =
+      floor(2^Q B_2i k^(2i-1) (l)_(2i-1) / ((2i)! U^(l+2i-1))) run to I,
+      the first i (from 1 at an anchor, else from the last l's I) whose
+      remainder bound (Johansson 2014, Thm 1) 4 (l)_(2M) / (2 pi)^(2M)
+      x'^(1-l-2M) / (l+2M-1), M = 2i, is below 2^-Q k^l.  T(l, i) is one
+      exact floor at the anchors l = 2 (mod 16) and chained between them,
+      T(l+1, i) = floor(T(l, i) (l+2i-1)/(l U)): with that factor <= 1 (else
+      the term is taken exact), a term d steps past its anchor errs by under
+      d + 1 units.  So a call with bottom = l pays for at most 15 more
+      tails; for an integer shift m > 1 = k every l is an anchor.
+    - m = k = 1: even l <= L from zeta(l) = |B_l| (2 pi)^l / (2 l!), with pi
+      at Q + 32 bits, under 1 + l zeta(l) 2^-32 < 2 units of 2^-Q off, so
+      X_l is within 1 + 2^(1-g) of it.  Odd l <= L step by u^2 in the
+      direct sum and by 2 in the chain, anchored at l = 3 (mod 32).
 
-    At most J + M + 4 floors and remainder, each under a unit of 2^-Q, so
-    |X_l - 2^bits v_l| < 1 + (J + M + 4)/2^g <= 2.  A tail that misses its
-    tolerance or that count raises TruncationBoundError; at three times the
-    x that 2 pi x > Q ln 2 asks for, neither happens.
+    Otherwise at most J direct floors, 2 leading floors, I tail terms under
+    d + 1 units each (d <= 15 steps) and a remainder under 1/2 a unit, so
+    |X_l - 2^bits v_l| < 1 + (J + (d+1) I + 3)/2^g <= 2.  A tail that misses
+    its tolerance or that count raises TruncationBoundError; at three times
+    the x that 2 pi x > Q ln 2 asks for, neither happens: J + 16 I + 4 stays
+    under 2.5 Q (bits <= 3000, k <= 8), and 2^g > 4 (bits + 64).
     """
     out = [0] * (top + 1)
     guard = (bits + 64).bit_length() + 2
@@ -135,45 +153,98 @@ def _hurwitz_fixed(top: int, m: int, k: int, bits: int, bottom: int = 2) -> list
     x = math.ceil(3 * (Q * math.log(2) + 16) / (2 * math.pi))
     J = max(0, x - m // k)
     U = k * J + m
-    for u in range(m, U, k):
-        t = one // u**bottom
-        for ell in range(bottom, top + 1):
+
+    def has_tail(ell):  # U^-l + U^(1-l)/(k(l-1)), which bounds the tail, is not below 2^-Q
+        return ell < 2 or one * (k * (ell - 1) + U) >= k * (ell - 1) * U**ell
+
+    L = int(Q * math.log(2) / math.log(U))  # L: the last l with a tail, from near it
+    while not has_tail(L):
+        L -= 1
+    while has_tail(L + 1):
+        L += 1
+
+    closed = m == k == 1
+    E = L - L % 2 if closed else 0  # even l <= E: from the closed form
+    if closed and bottom <= E:
+        w = Q + 32
+        pi2, pw = pi_fixed(w) ** 2 >> w, 1 << w  # pi^2 and pi^l, w fraction bits
+        for ell in range(2, min(E, top) + 1, 2):
+            pw = pw * pi2 >> w
+            if ell >= bottom:
+                bern = _bernoulli_even(ell)
+                out[ell] = ((abs(bern.numerator) * pw << (ell - 1))
+                            // (bern.denominator * math.factorial(ell) << 32))
+
+    odd = range(bottom | 1, min(E, top + 1), 2)  # odd l < E: the direct sum steps by u^2
+    rest = range(max(bottom, E + 1), top + 1)
+    for u in range(m, U if odd or rest else m, k):
+        t = one // u ** (odd or rest).start
+        uu = u * u
+        for ell in odd:
+            if not t:
+                break
+            out[ell] += t
+            t //= uu
+        for ell in rest:
             if not t:
                 break
             out[ell] += t
             t //= u
 
+    step = 2 if closed else 1
+    # anchors: l = base (mod span), or every l for an integer shift, whose
+    # callers read one entry each (`hurwitz_int`)
+    base, span = step + 1, 16 * step if m <= k else 1
+    first = bottom | 1 if closed else bottom
+    start = first - (first - base) % span
     xt = U / k
     log_x, log_k, log_2pi = math.log(xt), math.log(k), math.log(2 * math.pi)
     log_tol = -(Q + 1) * math.log(2)  # one bit of slack for the float bound
+
+    def covered(ell, i):  # the remainder bound after i terms is below 2^-Q
+        M = 2 * i
+        return (math.log(4) + math.lgamma(ell + M) - math.lgamma(ell) - M * log_2pi
+                + (1 - ell - M) * log_x - math.log(ell + M - 1) - ell * log_k) < log_tol
+
     coeffs = []  # (B_2i k^(2i-1), (2i)!)
-    u_pow = U ** (bottom - 1)  # U^(l-1)
-    for ell in range(bottom, top + 1):
-        kl = k * (ell - 1)
-        if one * (kl + U) < kl * u_pow * U:
-            break  # the tail is below 2^-Q here and for every larger l
-        s = one // (kl * u_pow) + one // (2 * u_pow * U)
-        poch, den_pow = ell, u_pow * U * U  # (l)_(2i-1), U^(l+2i-1)
-        i = 1
-        while True:
-            if len(coeffs) < i:
-                bern = _bernoulli_even(2 * i)
-                coeffs.append((bern.numerator * k ** (2 * i - 1),
-                               bern.denominator * math.factorial(2 * i)))
-            num, den = coeffs[i - 1]
-            s += ((num * poch) << Q) // (den * den_pow)
-            M = 2 * i
-            log_rem = (math.log(4) + math.lgamma(ell + M) - math.lgamma(ell) - M * log_2pi
-                       + (1 - ell - M) * log_x - math.log(ell + M - 1) - ell * log_k)
-            if log_rem < log_tol:
-                break
-            if ell + M >= 2 * math.pi * xt or J + i + 5 > 1 << guard:
+    chain = []  # the I tail terms of the previous l
+    Us = U**step
+    a = one // U ** (start - 1)  # floor(2^Q / U^(l-1))
+    for ell in range(start, min(L, top) + 1, step):
+        d = (ell - base) % span // step  # steps since the anchor
+        if ell > start:
+            a //= Us
+        if not d:
+            I = 1  # I: the first i with covered(ell, i), counting on from the last l's
+        while not covered(ell, I):
+            if ell + 2 * I >= 2 * math.pi * xt:
                 raise TruncationBoundError(f"Hurwitz tail at x={xt:.6g} misses 2^-{Q} at l={ell}")
-            poch *= (ell + M - 1) * (ell + M)
-            den_pow *= U * U
-            i += 1
-        out[ell] += s
-        u_pow *= U
+            I += 1
+        if J + (d + 1) * I + 4 > 1 << guard:
+            raise TruncationBoundError(f"Hurwitz tail at x={xt:.6g} misses 2^-{Q} at l={ell}")
+        for i in range(len(coeffs) + 1, I + 1):
+            bern = _bernoulli_even(2 * i)
+            coeffs.append((bern.numerator * k ** (2 * i - 1),
+                           bern.denominator * math.factorial(2 * i)))
+
+        # T(l, i) = floor(T(l - step, i) p/q), p/q = (l)_(2i-1)/((l - step)_(2i-1) U^step) <= 1
+        n = len(chain) if d else 0
+        ps = range(ell, ell + 2 * n - 1, 2)  # l + 2i - 2
+        if closed:
+            ps = [v * (v - 1) for v in ps]
+        q = ((ell - 1) * (ell - 2) if closed else ell - 1) * Us
+        if n and ps[-1] <= q:
+            chain = [c * p // q for c, p in zip(chain, ps)]
+        else:
+            chain, n = [], 0
+        if n < I:  # fresh terms, from (l)_(2i-1) and U^(l+2i-1)
+            poch, den_pow = math.perm(ell + 2 * n, 2 * n + 1), U ** (ell + 2 * n + 1)
+            for i, (num, den) in enumerate(coeffs[n:I], n + 1):
+                chain.append(((num * poch) << Q) // (den * den_pow))
+                poch *= (ell + 2 * i - 1) * (ell + 2 * i)
+                den_pow *= U * U
+        if ell >= bottom:
+            out[ell] += a // (k * (ell - 1)) + a // (2 * U) + sum(chain)
     return [v >> guard for v in out]
 
 
@@ -212,8 +283,10 @@ def _zeta_rounded(top: int, working: int, window: int = 3) -> list:
     """[zeta(k)] for 2 <= k <= top (None below) as `zeta_int(k, working)` returns it.
 
     `_ZETA_FIXED` holds `_hurwitz_fixed(t, 1, 1, cbits)` at the largest t and
-    cbits asked so far; a request past either rebuilds it at both maxima and
-    rebinds the whole tuple, never editing it (a thread race costs a rebuild).
+    cbits asked so far.  A request for more bits rebuilds it at both maxima; a
+    request for more entries at the held bits builds only the new ones
+    (`bottom` = the old length) and appends them.  Either way the whole tuple
+    is rebound, never edited (a thread race costs a rebuild).
     X_k, the entry shifted right by d = cbits - P, P = `_fixed_bits(working)`,
     is within 2 units of 2^P zeta(k): 2/2^d + 1 = 1 + 2^(1-d) <= 2 for d >= 1.
     This assumes that mpmath rounds once, to nearest at prec =
@@ -228,9 +301,12 @@ def _zeta_rounded(top: int, working: int, window: int = 3) -> list:
     prec = dps_to_prec(working)
     bits = _fixed_bits(working)
     cbits, table = _ZETA_FIXED
-    if cbits < bits or len(table) <= top:
-        cbits = max(cbits, bits)
-        table = tuple(_hurwitz_fixed(max(top, len(table) - 1), 1, 1, cbits))
+    if cbits < bits:
+        cbits, table = bits, tuple(_hurwitz_fixed(max(top, len(table) - 1), 1, 1, bits))
+        _ZETA_FIXED = (cbits, table)
+    elif len(table) <= top:
+        new = _hurwitz_fixed(top, 1, 1, cbits, bottom=max(2, len(table)))
+        table += tuple(new[len(table):])
         _ZETA_FIXED = (cbits, table)
     out = [None, None]
     for k in range(2, top + 1):

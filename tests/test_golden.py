@@ -13,7 +13,11 @@ census at n = 1000 reads one input near a rounding tie from mpmath.  The
 three single-index commands at the end were captured before a single index
 read its zeta inputs from the fixed-point table as well.  The saddle
 contour at n = 50, in text and JSON, was captured before the oracles lost
-their contour settings object and took a truncation height alone.
+their contour settings object and took a truncation height alone.  The
+last two were captured before the Hurwitz table chained its Euler-Maclaurin
+tail terms and took even zeta values from Bernoulli numbers: b_n for
+n <= 2000 reads zeta(l) for l up to 2000 from a table at 2362 bits, the
+deepest tails, and A_n(3, 4) at 30 digits reads a Hurwitz table off m = k = 1.
 """
 
 from pathlib import Path
@@ -61,6 +65,8 @@ COMMANDS = {
     "seq-d-90-moebius-30": "seq d --n 90 --method moebius --digits 30",
     "contour-saddle-50-8": "contour saddle --n 50 --digits 8",
     "contour-saddle-50-8-json": "contour saddle --n 50 --digits 8 --format json",
+    "seq-b-2000": "seq b --n 1..2000",
+    "seq-A-3-4-400-30": "seq A --m 3 --k 4 --n 1..400 --digits 30",
 }
 
 

@@ -53,6 +53,20 @@ def test_hurwitz_int_matches_direct_evaluation():
 )
 @example(ell=400, k=8, data=None, digits=200)
 @example(ell=2, k=1, data=None, digits=10)
+# m = k = 1 on both sides of L, the last l with a tail: L = 12, 35, 87 at
+# 10, 60, 200 digits; even l <= L come from the closed form
+@example(ell=11, k=1, data=None, digits=10)
+@example(ell=12, k=1, data=None, digits=10)
+@example(ell=13, k=1, data=None, digits=10)
+@example(ell=14, k=1, data=None, digits=10)
+@example(ell=34, k=1, data=None, digits=60)
+@example(ell=35, k=1, data=None, digits=60)
+@example(ell=36, k=1, data=None, digits=60)
+@example(ell=37, k=1, data=None, digits=60)
+@example(ell=86, k=1, data=None, digits=200)
+@example(ell=87, k=1, data=None, digits=200)
+@example(ell=88, k=1, data=None, digits=200)
+@example(ell=89, k=1, data=None, digits=200)
 def test_hurwitz_fixed_within_two_units(ell, k, data, digits):
     m = data.draw(st.integers(min_value=1, max_value=k), label="m") if data else 1
     bits = mpcore._fixed_bits(digits)
@@ -69,6 +83,17 @@ def test_hurwitz_fixed_entry_does_not_depend_on_table_length():
         for ell in (2, 3, 17, 64, 199, 400):
             assert mpcore._hurwitz_fixed(ell, m, k, bits)[ell] == table[ell]
             assert mpcore._hurwitz_fixed(ell, m, k, bits, bottom=ell)[ell] == table[ell]
+    # bottom/top pairs around L, the last l with a tail, and around the anchors
+    # where the chained tail terms restart (l = 2 mod 16; l = 3 mod 32 for m = k = 1)
+    for m, k, digits, centres in ((1, 1, 10, (12,)), (1, 1, 60, (35,)), (1, 1, 200, (67, 87)),
+                                  (3, 4, 60, (18, 27)), (2, 5, 200, (66, 67))):
+        bits = mpcore._fixed_bits(digits)
+        table = mpcore._hurwitz_fixed(100, m, k, bits)
+        for c in centres:
+            for bottom in (c - 1, c, c + 1):
+                for top in (bottom, bottom + 2):
+                    got = mpcore._hurwitz_fixed(top, m, k, bits, bottom=bottom)
+                    assert got == [0] * bottom + table[bottom:top + 1], (m, k, bottom, top)
 
 
 @pytest.mark.parametrize("shift", [(1, 2), (1, 3), (3, 4), (2, 5), 7, 601])
@@ -274,6 +299,15 @@ def test_batch_near_a_tie_takes_the_fallback(monkeypatch):
     assert calls == [279, 673, 775, 777, 1205]
 
 
+def test_single_index_near_a_tie_falls_back_at_most_three_times(monkeypatch):
+    from zetadiff import differences
+
+    monkeypatch.setattr(mpcore, "_ZETA_FIXED", (0, ()))
+    calls = _zeta_int_calls(monkeypatch)
+    differences.b(1000, 15)
+    assert len(calls) <= 3  # three of its inputs lie within the window of a tie
+
+
 def test_bernoulli_even_equals_bernfrac():
     for n in range(2, 401, 2):
         assert mpcore._bernoulli_even(n) == Fraction(*mpmath.bernfrac(n)), n
@@ -310,6 +344,18 @@ def test_zeta_table_memo_keeps_the_largest_top_and_bits(monkeypatch):
     assert (first[0], len(first[1])) == (mpcore._fixed_bits(30), 51)
     mpcore._zeta_rounded(40, 20)  # inside both: read by shifting down
     assert mpcore._ZETA_FIXED is second
+    builds, build = [], mpcore._hurwitz_fixed
+
+    def counted(top, m, k, bits, bottom=2):
+        builds.append((top, bottom))
+        return build(top, m, k, bits, bottom)
+
+    monkeypatch.setattr(mpcore, "_hurwitz_fixed", counted)
+    mpcore._zeta_rounded(80, 60)  # more entries at the held bits: only the new ones built
+    third = mpcore._ZETA_FIXED
+    assert builds == [(80, 51)]
+    assert third[0] == second[0] and third[1][:51] == second[1]
+    assert list(third[1]) == build(80, 1, 1, third[0])
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
