@@ -209,21 +209,15 @@ def _kernel(kind: str, ns, working: int, q=None) -> dict[int, mpf]:
     }
 
 
-def _rearranged(L: int, working: int, target: int, mobius: bool, head, coeffs) -> mpf:
-    """sum_{l<=L} w(l) head(l) + sum_{j>=2} (-1)^j c_j T_j, T_j = sum_{l>L} w(l) l^-j.
-
-    The weights w(l) are mu(l) (T_j from `_mobius_tails`) or 1 (T_j =
+def _rearranged(head: mpf, mu, L: int, working: int, target: int, coeffs) -> mpf:
+    """head + sum_{j>=2} (-1)^j c_j T_j, T_j = sum_{l>L} w(l) l^-j; the head,
+    sum_{l<=L} w(l) h(l), arrives already summed.  The weights w(l) are mu(l)
+    from `mu` = mu(0..L) (T_j from `_mobius_tails`) or 1 for mu None (T_j =
     zeta(j, L+1)); `coeffs` yields c_2, c_3, ..., finitely many where the
-    expansion is exact.  The tail stops once the next-term bound
-    2 c_j ((L+1)^-j + L^(1-j)/(j-1)) is below 10^-(target+5) max(1, |head|).
-    """
-    mu = mpcore.mobius_upto(L) if mobius else None
+    expansion is exact.  The tail stops once the next-term bound 2 c_j
+    ((L+1)^-j + L^(1-j)/(j-1)) is below 10^-(target+5) max(1, |head|)."""
     with workdps(working):
-        acc = mpf(0)
-        for ell in range(1, L + 1):
-            w = mu[ell] if mobius else 1
-            if w:
-                acc += w * head(ell)
+        acc = head
         tol = mpf(10) ** (-(target + 5)) * max(mpf(1), abs(acc))
         cs = []
         for j, c in enumerate(coeffs, 2):
@@ -231,7 +225,7 @@ def _rearranged(L: int, working: int, target: int, mobius: bool, head, coeffs) -
                 break
             cs.append(c)
         top = len(cs) + 1
-        if mobius:
+        if mu is not None:
             tails = _mobius_tails(mu, top, working)
         else:
             tails = [None, None] + [mpcore.hurwitz_int(j, L + 1, working) for j in range(2, top + 1)]
@@ -241,15 +235,34 @@ def _rearranged(L: int, working: int, target: int, mobius: bool, head, coeffs) -
         return +acc
 
 
+def _head_fixed(n: int, mu, L: int, bits: int) -> int:
+    """sum_{l<=L} w(l) [floor(2^bits (l-1)^n / l^n) - 2^bits + floor(n 2^bits / l)],
+    w(l) = mu(l) from `mu` = mu(0..L), or 1 for mu None.  Each bracket is two
+    floors under 1 unit of 2^-bits low, so the sum is within 2N units of
+    2^bits sum_{l<=L} w(l) [(1 - 1/l)^n - 1 + n/l], N <= L nonzero weights.
+    """
+    one, acc, prev = 1 << bits, 0, 0  # prev = (l-1)^n
+    for ell in range(1, L + 1):
+        cur, w = ell**n, 1 if mu is None else mu[ell]
+        if w:
+            acc += w * ((prev << bits) // cur - one + (n << bits) // ell)
+        prev = cur
+    return acc
+
+
 def _rearranged_difference(n: int, budget: PrecisionBudget, mobius: bool) -> mpf:
     """delta_n (weights 1) or d_n (weights mu(l)) with L = max(2n, 32), where
-    the tail terms shrink by at least 1/2 per step and end at j = n."""
+    the tail terms shrink by at least 1/2 per step and end at j = n.  The head
+    is `_head_fixed` at P + g bits, 2L < 2^g, so within 1 unit of 2^-P, P =
+    `_fixed_bits(working)`, before its one rounding."""
     if n < 2:
         return mpf(0)
+    L, working = max(2 * n, 32), budget.working_digits
+    mu = mpcore.mobius_upto(L) if mobius else None
+    bits = _fixed_bits(working) + (2 * L).bit_length()
     return _rearranged(
-        max(2 * n, 32), budget.working_digits, budget.target_digits, mobius,
-        lambda ell: (1 - mpf(1) / ell) ** n - 1 + n * (mpf(1) / ell),
-        (math.comb(n, j) for j in range(2, n + 1)),
+        _from_fixed(_head_fixed(n, mu, L, bits), bits, working), mu, L, working,
+        budget.target_digits, (math.comb(n, j) for j in range(2, n + 1)),
     )
 
 
@@ -360,6 +373,9 @@ def D_of(x, prec: PrecisionBudget | int = 15) -> mpf:
         xv = mpf(x)
         if not mpmath.isfinite(xv) or xv <= 0:
             raise DomainError(f"D(x) needs finite x > 0, got {x!r}")
+        L = max(32, int(math.ceil(2 * float(xv))))
+        mu = mpcore.mobius_upto(L)
+        head = sum(mu[ell] * (mpmath.exp(-xv / ell) - 1 + xv / ell) for ell in range(1, L + 1) if mu[ell])
 
     def powers():  # x^j / j!
         j, xpow, fact = 2, xv * xv, mpf(2)
@@ -369,10 +385,7 @@ def D_of(x, prec: PrecisionBudget | int = 15) -> mpf:
             xpow *= xv
             fact *= j
 
-    return _rearranged(
-        max(32, int(math.ceil(2 * float(xv)))), budget.working_digits, budget.target_digits,
-        True, lambda ell: mpmath.exp(-xv / ell) - 1 + xv / ell, powers(),
-    )
+    return _rearranged(head, mu, L, budget.working_digits, budget.target_digits, powers())
 
 
 def sequence_many(

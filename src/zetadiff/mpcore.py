@@ -248,30 +248,30 @@ def _hurwitz_fixed(top: int, m: int, k: int, bits: int, bottom: int = 2) -> list
     return [v >> guard for v in out]
 
 
-# B_2, B_4, ... as Fractions; grows by rebinding, never in place, so a thread
-# reads either the old tuple or the new one, and both hold exact values
-_BERNOULLI: tuple = ()
+# (B_2, B_4, ... as Fractions, the last tangent-number column); grows by
+# rebinding, never in place, so a thread reads the old pair or the new one
+_BERNOULLI: tuple = ((), ())
 
 
 def _bernoulli_even(n: int) -> Fraction:
     """B_n for even n >= 2, exact, from the integer tangent numbers T_i
     (Brent and Harvey 2011, O(i^2) integer operations):
-    B_2i = (-1)^(i-1) 2i T_i / (4^i (4^i - 1)).
+    B_2i = (-1)^(i-1) 2i T_i / (4^i (4^i - 1)).  The table grows to the index
+    asked, one triangle column per entry: col_h[1] = (h-1) col_(h-1)[1],
+    col_h[j] = (h-j) col_(h-1)[j] + (h-j+2) col_h[j-1], T_h = col_h[h].
     """
     global _BERNOULLI
     i = n // 2
-    table = _BERNOULLI
+    table, col = _BERNOULLI
     if len(table) < i:
-        count = max(i, 2 * len(table))
-        t = [0, 1] + [0] * (count - 1)  # t[j] = T_j
-        for j in range(2, count + 1):
-            t[j] = (j - 1) * t[j - 1]
-        for j in range(2, count + 1):
-            for h in range(j, count + 1):
-                t[h] = (h - j) * t[h - 1] + (h - j + 2) * t[h]
-        table = _BERNOULLI = tuple(
-            Fraction((-1) ** (j - 1) * 2 * j * t[j], 4**j * (4**j - 1)) for j in range(1, count + 1)
-        )
+        table = list(table)
+        for h in range(len(table) + 1, i + 1):
+            new = [(h - 1) * col[0] if col else 1]
+            for j in range(2, h + 1):
+                new.append((h - j) * (col[j - 1] if j < h else 0) + (h - j + 2) * new[-1])
+            col = new
+            table.append(Fraction((-1) ** (h - 1) * 2 * h * col[-1], 4**h * (4**h - 1)))
+        _BERNOULLI = (tuple(table), tuple(col))
     return table[i - 1]
 
 
@@ -356,11 +356,21 @@ def harmonic_mpf(n: int, prec=None) -> mpf:
 
 
 def digamma_rational(shift, prec=None) -> mpf:
-    """psi(m/k) at the working precision."""
+    """psi(m/k) at the working precision by Gauss's digamma theorem (DLMF
+    5.4.19, its terms j and k - j paired): for 1 <= m < k, psi(m/k) = -gamma
+    - ln(2k) - (pi/2) cot(pi m/k) + 2 sum_{j=1..ceil(k/2)-1} cos(2 pi jm/k)
+    ln sin(pi j/k); psi(1) = -gamma apart, at the cotangent's pole.  Summed at
+    working + 10 digits and rounded once."""
     shift = _coerce_shift(shift)
+    m, k = shift.m, shift.k
     working = digits(prec)[1]
     with workdps(working + 10):
-        v = mpmath.digamma(shift.as_mpf())
+        v = -mpmath.euler
+        if m < k:
+            x = mpf(m) / k
+            v -= mpmath.ln(2 * k) + mpmath.pi / 2 * mpmath.cospi(x) / mpmath.sinpi(x)
+            for j in range(1, (k + 1) // 2):
+                v += 2 * mpmath.cospi(mpf(2 * j * m % (2 * k)) / k) * mpmath.ln(mpmath.sinpi(mpf(j) / k))
     with workdps(working):
         return +v
 

@@ -2,11 +2,12 @@
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mpf, workdps
 
 from zetadiff import asymptotics, contour, differences, mpcore, series
 from zetadiff.errors import DomainError
-from zetadiff.precision import PrecisionBudget
+from zetadiff.precision import PrecisionBudget, as_budget
 
 # |d_n - D(n)| measured once at 20 digits; regression guards, not oracles
 D_GAP = {10: "0.04826", 50: "0.0007321", 100: "9.558e-5", 200: "1.215e-5"}
@@ -38,6 +39,35 @@ def test_delta_series_meets_target_at_large_n():
         binomial = differences.delta(n, target + 20).value
         with workdps(target + 30):
             assert abs(series - binomial) <= mpf(10) ** -target * abs(binomial)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    n=st.integers(min_value=2, max_value=400),
+    mobius=st.booleans(),
+    target=st.integers(min_value=10, max_value=60),
+)
+def test_rearranged_head_within_its_bound_and_routes_meet_target(n, mobius, target):
+    kind, method = ("d", "moebius") if mobius else ("delta", "series")
+    working = as_budget(target, kind, n, method=method).working_digits
+    L = max(2 * n, 32)
+    mu = mpcore.mobius_upto(L) if mobius else None
+    bits = differences._fixed_bits(working) + (2 * L).bit_length()
+    weights = [(ell, mu[ell] if mobius else 1) for ell in range(1, L + 1)]
+    weights = [(ell, w) for ell, w in weights if w]
+
+    # each of the N nonzero-weight head terms is within 2 units of 2^-bits
+    head = differences._head_fixed(n, mu, L, bits)
+    with workdps(working + 30):
+        exact = mpmath.fsum(w * ((1 - mpf(1) / ell) ** n - 1 + mpf(n) / ell) for ell, w in weights)
+        assert abs(head - exact * 2**bits) < 2 * len(weights)
+
+    # the rearranged route still meets its target against the binomial route
+    call = getattr(differences, kind)
+    value = call(n, target, method=method).value
+    binomial = call(n, target + 20).value
+    with workdps(target + 30):
+        assert abs(value - binomial) <= mpf(10) ** -target * abs(binomial)
 
 
 def test_delta_rejects_unknown_method():

@@ -138,6 +138,25 @@ def test_digamma_rational_half_closed_form():
         assert abs(mpcore.digamma_rational((1, 2), 45) - expected) < mpf("1e-42")
 
 
+def _digamma_by_mpmath(shift, working):
+    """psi(m/k) as digamma_rational took it before its closed form: mpmath.digamma
+    at working + 10 digits, rounded once."""
+    with workdps(working + 10):
+        v = mpmath.digamma(mpcore.RationalShift(*shift).as_mpf())
+    with workdps(working):
+        return +v
+
+
+@pytest.mark.parametrize("working", [15, 45, 90])
+def test_digamma_rational_equals_mpmath_digamma_bit_for_bit(working):
+    # every 1 <= m <= k <= 12: m = k (psi(1) = -gamma) and shifts that are not
+    # in lowest terms, such as (2, 4), included
+    for k in range(1, 13):
+        for m in range(1, k + 1):
+            got = mpcore.digamma_rational((m, k), working)
+            assert got._mpf_ == _digamma_by_mpmath((m, k), working)._mpf_, (m, k)
+
+
 def test_gamma_cx_matches_mpmath_and_flags_poles():
     with workdps(40):
         s = mpmath.mpc("1.5", "2.5")
@@ -311,6 +330,13 @@ def test_single_index_near_a_tie_falls_back_at_most_three_times(monkeypatch):
 def test_bernoulli_even_equals_bernfrac():
     for n in range(2, 401, 2):
         assert mpcore._bernoulli_even(n) == Fraction(*mpmath.bernfrac(n)), n
+
+
+def test_bernoulli_even_grows_to_the_index_asked(monkeypatch):
+    monkeypatch.setattr(mpcore, "_BERNOULLI", ((), ()))
+    for n, size in ((10, 5), (4, 5), (64, 32), (66, 33)):
+        assert mpcore._bernoulli_even(n) == Fraction(*mpmath.bernfrac(n)), n
+        assert len(mpcore._BERNOULLI[0]) == size
 
 
 def test_from_fixed_rounds_as_from_rational():
