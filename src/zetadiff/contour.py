@@ -43,10 +43,12 @@ float64 integrand with a proven error bound, from `floattier`.  One driver,
 is bounded at every node and the panel's bound fits its share of half the
 tolerance, with the bound joining the error estimate; mpmath otherwise,
 which is mostly the head of each contour where the integrand is largest.
-There zeta comes from `mpcore._zeta_borwein`, mpmath's bits with the
-amplitudes k^-(Re s) shared by every node of a line through one bounded table.
+There zeta comes from `mpcore._zeta_bounded`, Borwein's sum in fixed point
+with a stated error bound: the amplitudes k^-(Re s) are shared by every node
+of a line through one bounded table, and the phases k^-it are computed at
+primes only and multiplied out for composite k.
 The left line reflects: zeta(s) = chi(s) zeta(1 - s), with zeta(1 - s) from
-`_zeta_borwein` on Re s = 3/2 at the line's working digits, and chi in closed
+`_zeta_bounded` on Re s = 3/2 at the line's working digits, and chi in closed
 form at a few more digits, as many more as t has (`_left_reflection`).  The
 Rice kernel n!/(s(s-1)...(s-n)) is one fixed-point product (`_rice_kernel`),
 and each Rice integrand forms only the real part it returns.
@@ -434,7 +436,7 @@ def _line_data(kind: str, n: int, target: int):
 
             def f(t):
                 # zeta(s) = chi(s) zeta(1 - s), and 1 - s = 3/2 - it
-                zeta = _left_reflection(t, working) * mpcore._zeta_borwein(mpc(1.5, -t))
+                zeta = _left_reflection(t, working) * mpcore._zeta_bounded(mpc(1.5, -t))[0]
                 return _re_mul(zeta, _rice_kernel(mpc(c, t), n, fact))
 
             lg_fact = math.lgamma(n + 1)
@@ -464,7 +466,7 @@ def _line_data(kind: str, n: int, target: int):
 
         def f(t):
             s = mpc(c, t)
-            kern, z = _rice_kernel(s, n, fact), mpcore._zeta_borwein(s)
+            kern, z = _rice_kernel(s, n, fact), mpcore._zeta_bounded(s)[0]
             return _re_div(kern, z) if inverse else _re_mul(z, kern)
 
         def g(t, dt):

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import mpmath
 from mpmath import mpc, mpf, workdps
@@ -156,13 +155,26 @@ def _input(kind: str, k: int, zeta: mpf) -> mpf:
 
 
 def _harmonic_fixed(ns, bits: int) -> dict[int, int]:
-    """floor(H_{n-1} 2^bits) for every n in ns, from one running exact sum."""
-    out, h, j = {}, Fraction(0), 0
-    for n in sorted(set(ns)):
+    """floor(H_{n-1} 2^bits) for every n in ns, from one running integer sum.
+
+    S = sum_{j<n} floor(2^(bits+g)/j), g = 16 + the bit length of max(ns), is
+    at most n - 1 units below 2^(bits+g) H_{n-1}, so the floor is S >> g
+    unless a multiple of 2^g lies in (S, S + n - 1]; only then is the exact
+    sum `mpcore.harmonic(n - 1)` taken.
+    """
+    ns = sorted(set(ns))
+    g = max(ns, default=0).bit_length() + 16
+    one = 1 << (bits + g)
+    out, acc, j = {}, 0, 0
+    for n in ns:
         while j < n - 1:
             j += 1
-            h += Fraction(1, j)
-        out[n] = (h.numerator << bits) // h.denominator
+            acc += one // j
+        floor = acc >> g
+        if floor != (acc + max(n - 1, 0)) >> g:
+            h = mpcore.harmonic(n - 1)
+            floor = (h.numerator << bits) // h.denominator
+        out[n] = floor
     return out
 
 

@@ -22,9 +22,12 @@ l; for m = k = 1 the even entries come from the closed form of zeta(2j).
 returns, for every sequence input; an entry it cannot decide falls back to
 `zeta_int`.
 
-Complex zeta goes through `_zeta_borwein`, which returns mpmath.zeta's bits
-but keeps the amplitudes k^-(Re s) of Borwein's sum across calls, for the
-vertical lines of the contour oracles.
+Borwein's algorithm for complex zeta has one setup, `_borwein_setup`, which
+keeps the amplitudes k^-(Re s) of its sum across the calls on a vertical
+line, and two routes.  `_zeta_borwein` returns mpmath.zeta's bits; `zeta_cx`
+is its only caller.  `_zeta_bounded` serves the contour oracles' Rice lines:
+it forms the phases k^-it by products from those at primes and returns an
+absolute error bound with the value.
 """
 
 from __future__ import annotations
@@ -37,8 +40,8 @@ import mpmath
 from mpmath import mpf, mpc, workdps
 from mpmath.libmp import (
     MPZ_ZERO, dps_to_prec, fhalf, from_int, from_man_exp, from_rational, fzero, ln2_fixed,
-    mpc_abs, mpc_div, mpc_one, mpc_pow, mpc_sub, mpc_two, mpf_gt, mpf_lt, pi_fixed,
-    round_nearest, to_fixed, to_int,
+    mpc_abs, mpc_div, mpc_one, mpc_pow, mpc_sub, mpc_two, mpf_gt, mpf_le, mpf_lt, pi_fixed,
+    round_nearest, to_fixed, to_float, to_int,
 )
 from mpmath.libmp.gammazeta import borwein_coefficients, cos_sin_fixed, exp_fixed, log_int_fixed
 
@@ -292,10 +295,10 @@ def _zeta_rounded(top: int, working: int, window: int = 3) -> list:
     This assumes that mpmath rounds once, to nearest at prec =
     dps_to_prec(working) bits, a value it computed within 1 unit of 2^-P of
     zeta(k) (it works at prec + 20 bits, 10 finer than P), so its input to
-    that rounding lies in [X_k - 3, X_k + 3] units.  libmp rounds both ends
-    (`from_man_exp`, `round_nearest`); rounding is monotone, so where they
-    agree that mpf is mpmath's.  Any other k, near a tie, is read from
-    `zeta_int`; `window` is the 3 units.
+    that rounding lies in [X_k - 3, X_k + 3] units.  Rounding is monotone,
+    so where both ends round alike (`_rounds_alike`, an integer test on X_k's
+    rounding cell) X_k rounded once is mpmath's mpf.  Any other k, near a
+    tie, is read from `zeta_int`; `window` is the 3 units.
     """
     global _ZETA_FIXED
     prec = dps_to_prec(working)
@@ -311,12 +314,31 @@ def _zeta_rounded(top: int, working: int, window: int = 3) -> list:
     out = [None, None]
     for k in range(2, top + 1):
         x = table[k] >> (cbits - bits)
-        lo = from_man_exp(x - window, -bits, prec, round_nearest)
-        if lo == from_man_exp(x + window, -bits, prec, round_nearest):
-            out.append(mpmath.mp.make_mpf(lo))
+        if _rounds_alike(x, window, prec):
+            out.append(mpmath.mp.make_mpf(from_man_exp(x, -bits, prec, round_nearest)))
         else:
             out.append(zeta_int(k, working))
     return out
+
+
+def _rounds_alike(x: int, window: int, prec: int) -> bool:
+    """Whether x - window and x + window (x > window >= 0) round to one mantissa
+    under round_nearest at prec bits.  Where both have x's bit length prec +
+    sh, sh > 0, each rounds to m = the nearest multiple of 2^sh (half to
+    even m / 2^sh); the cell of m reaches half = 2^(sh-1) either side of it,
+    edges included for an even m / 2^sh only.  Otherwise both are rounded.
+    """
+    sh = x.bit_length() - prec
+    if sh > 0 and (x - window).bit_length() == (x + window).bit_length() == prec + sh:
+        half = 1 << (sh - 1)
+        m = (x + half) >> sh << sh  # nearest, ties up
+        odd = (m >> sh) & 1
+        if x + half == m and odd:  # tie at x itself goes down to even
+            m -= 1 << sh
+            odd = 0
+        return m - half + odd <= x - window and x + window <= m + half - odd
+    return (from_man_exp(x - window, 0, prec, round_nearest)
+            == from_man_exp(x + window, 0, prec, round_nearest))
 
 
 def _fixed_bits(working: int) -> int:
@@ -412,72 +434,233 @@ def zeta_cx(s, prec=None) -> mpc:
         return +v
 
 
-# ((key, ((log k, amplitude), ...)), ...) of `_zeta_borwein`, k = 1, 2, ...,
+# ((key, ((log k, amplitude), ...)), ...) of `_borwein_setup`, k = 1, 2, ...,
 # key = (to_fixed(Re s, wp), wp), the most recently grown key first; grows by
 # rebinding, like _BERNOULLI, and keeps at most _AMPLITUDE_KEYS keys
 _AMPLITUDES: tuple = ()
 _AMPLITUDE_KEYS = 8
 
 
-def _zeta_borwein(s: mpc) -> mpc:
-    """mpmath.zeta(s) for a complex s at the ambient precision, bit for bit.
+def _borwein_setup(s: mpc):
+    """What both Borwein routes share, or None where mpmath.zeta takes s.
 
-    Where mpmath 1.3.0's `libmp.mpc_zeta` takes Borwein's algorithm with
-    exp_fixed amplitudes (s not real, Re s >= 0 and not 1/2, |s| <= prec at
-    10 bits, s not within 2^-wp/2 of the pole), this repeats its loop step
-    for step, but reads the amplitude k^-Re(s), exp_fixed((-ref log k) >> wp,
-    wp), from `_AMPLITUDES`: on a vertical line Re s and wp are fixed, so
-    only the phase k^-i Im(s) is new at each node.  An entry is read only
-    where its stored log k equals the one `log_int_fixed` returns now, as
-    mpmath's log cache can refine that value; otherwise the amplitude is
-    computed and stored afresh.  Every other input goes to mpmath.zeta.
+    mpmath 1.3.0's `libmp.mpc_zeta` takes Borwein's algorithm with exp_fixed
+    amplitudes for s not real, Re s >= 0 and not 1/2, |s| <= prec at 10
+    bits, and s not within 2^-wp/2 of the pole; this repeats its setup: wp =
+    prec + 20 (more near the pole), n = int(wp/2.54 + 5) + int(0.9 |Im s|),
+    d = `borwein_coefficients(n)`, and for k < n the weight (k+1)^-Re(s)
+    (-1)^k (d_k - d_n), fixed at wp bits, next to log(k+1) from
+    `log_int_fixed`.
+    The amplitude exp_fixed((-ref log k) >> wp, wp) is read from
+    `_AMPLITUDES`: on a vertical line Re s and wp are fixed, so only the
+    phase k^-i Im(s) is new at each node.  An entry is read only where its
+    stored log k equals the one `log_int_fixed` returns now, as mpmath's log
+    cache can refine that value; otherwise it is computed and stored afresh.
+    Returns (wp, 1 - s at wp bits, d, [log(k+1)], [weight]).
     """
-    prec, rnd = mpmath.mp._prec_rounding
+    global _AMPLITUDES
+    prec = mpmath.mp.prec
     re, im = s._mpc_
     if (im == fzero or mpf_lt(re, fzero) or re == fhalf
             or mpf_gt(mpc_abs(s._mpc_, 10), from_int(prec))):
-        return mpmath.zeta(s)
+        return None
     wp = prec + 20
     r = mpc_sub(mpc_one, s._mpc_, wp)
     _, _, aexp, abc = mpc_abs(r, 10)
     pole_dist = -2 * (aexp + abc)
     if pole_dist > wp:
-        return mpmath.zeta(s)
+        return None
     wp += max(0, pole_dist)
 
-    global _AMPLITUDES
     n = int(wp / 2.54 + 5) + int(0.9 * abs(to_int(im)))
     d = borwein_coefficients(n)
     ref = to_fixed(re, wp)
-    imf = to_fixed(im, wp)
     key = (ref, wp)
     table = next((amps for held, amps in _AMPLITUDES if held == key), ())
-    grown = None
-    tre = tim = MPZ_ZERO
     ln2 = ln2_fixed(wp)
-    pi2 = pi_fixed(wp - 1)
+    logs = [log_int_fixed(k, wp, ln2) for k in range(1, n + 1)]
+    if len(table) < n or any(held != log for (held, _), log in zip(table, logs)):
+        grown = list(table)
+        for k, log in enumerate(logs):
+            if k == len(grown) or grown[k][0] != log:  # replaces entry k, or appends it
+                grown[k:k + 1] = [(log, exp_fixed((-ref * log) >> wp, wp))]
+        others = tuple(item for item in _AMPLITUDES if item[0] != key)
+        _AMPLITUDES = ((key, tuple(grown)),) + others[: _AMPLITUDE_KEYS - 1]
+        table = grown
     dn = d[n]
-    for k in range(n):
-        log = log_int_fixed(k + 1, wp, ln2)
-        if k < len(table) and table[k][0] == log:
-            w = table[k][1]
-        else:
-            w = exp_fixed((-ref * log) >> wp, wp)
-            if grown is None:
-                grown = list(table)
-            grown[k:k + 1] = [(log, w)]  # replaces entry k, or appends it
-        w *= (dn - d[k]) if k & 1 else (d[k] - dn)
+    weights = [w * (dn - dk if k & 1 else dk - dn) for k, ((_, w), dk) in enumerate(zip(table[:n], d))]
+    return wp, r, d, logs, weights
+
+
+def _zeta_borwein(s: mpc) -> mpc:
+    """mpmath.zeta(s) for a complex s at the ambient precision, bit for bit.
+
+    Where `_borwein_setup` serves s, this repeats mpc_zeta's loop step for
+    step, with the phase k^-i Im(s) from one `cos_sin_fixed` call per term,
+    and its division by -d_n (1 - 2^(1-s)); every other input goes to
+    mpmath.zeta.  `zeta_cx` is its only caller.
+    """
+    setup = _borwein_setup(s)
+    if setup is None:
+        return mpmath.zeta(s)
+    prec, rnd = mpmath.mp._prec_rounding
+    wp, r, d, logs, weights = setup
+    imf = to_fixed(s._mpc_[1], wp)
+    pi2 = pi_fixed(wp - 1)
+    tre = tim = MPZ_ZERO
+    for log, w in zip(logs, weights):
         wre, wim = cos_sin_fixed((-imf * log) >> wp, wp, pi2)
         tre += (w * wre) >> wp
         tim += (w * wim) >> wp
-    if grown is not None:
-        others = tuple(item for item in _AMPLITUDES if item[0] != key)
-        _AMPLITUDES = ((key, tuple(grown)),) + others[: _AMPLITUDE_KEYS - 1]
-    tre //= -dn
-    tim //= -dn
-    z = (from_man_exp(tre, -wp, wp), from_man_exp(tim, -wp, wp))
+    z = (from_man_exp(tre // -d[-1], -wp, wp), from_man_exp(tim // -d[-1], -wp, wp))
     q = mpc_sub(mpc_one, mpc_pow(mpc_two, r, wp), wp)
     return mpmath.mp.make_mpc(mpc_div(z, q, prec, rnd))
+
+
+def _borwein_phases(imf: int, logs: list, wp: int) -> tuple[list, list, list]:
+    """([Re c_k], [Im c_k], [e_k]) for k = 1..len(logs) (index 0 unused):
+    c_k approximates 2^wp k^-it, t = imf 2^-wp, within e_k units in modulus.
+
+    c_1 = (2^wp, 0), exact.  A prime p takes cos_sin_fixed(x_p, wp, pi2), x_p
+    = (-imf log p) >> wp, charged e_p = ceil(1.5 C + |N| + 1.01 |t| + ln p +
+    1), as |e^(ia) - e^(ib)| <= |a - b|:
+    - C = 4 ceil(wp/16) + 8 units on each part of the result.  mpmath
+      states no bound; read from its code: up to 400 bits its basecase
+      takes cos and sin of a multiple of 2^-8, cached at 410 bits and
+      floored (within 1 + 2^-9 units), and at most ceil(wp/16) + 1 Taylor
+      steps in h < 2^-8 that add a term within 2 units to each of cos h and
+      sin h, so each part of the product is within 4 (steps) + 4 units;
+      above 400 bits it works 10 + 2r bits finer and loses at most 2r of
+      them in r doublings, within 2 units.  1.5 > sqrt 2 turns C into a
+      modulus.
+    - |N| <= |x_p| // pi2 + 1 quarter turns come off x_p, each short by
+      under one unit, as pi2 = floor(pi 2^(wp-1)).
+    - 1.01 |t|: log p from `log_int_fixed` is floored from at least wp + 10
+      bits (mpf_log at wp + 15), so it errs by under 1.01 units.
+    - ln p, as imf is t floored (exact for the Rice nodes), and 1 for the
+      shift that floors x_p.
+    A composite k = p (k/p), p its least prime factor, is one product of
+    held phases with both parts floored: e_k = e_p + e_(k/p) + 2, as |ab -
+    AB| <= e_a |b| + e_b + sqrt 2, and e_a e_b < 2^(wp-1).
+    """
+    n = len(logs)
+    one = 1 << wp
+    pi2 = pi_fixed(wp - 1)
+    spf = _least_prime_factors(n)
+    lead = 1.5 * (4 * -(-wp // 16) + 8) + 1.01 * abs(imf) / one + 2
+    res, ims, charges = [0, one], [0, 0], [0, 0]
+    for k in range(2, n + 1):
+        p = spf[k]
+        if p == k:
+            x = (-imf * logs[k - 1]) >> wp
+            c, s = cos_sin_fixed(x, wp, pi2)
+            res.append(c)
+            ims.append(s)
+            charges.append(math.ceil(lead + abs(x) // pi2 + math.log(k)))
+        else:
+            q = k // p
+            are, aim, bre, bim = res[p], ims[p], res[q], ims[q]
+            res.append((are * bre - aim * bim) >> wp)
+            ims.append((are * bim + aim * bre) >> wp)
+            charges.append(charges[p] + charges[q] + 2)
+    return res, ims, charges
+
+
+def _zeta_bounded(s: mpc) -> tuple[mpc, mpf]:
+    """(zeta(s) at the ambient precision, an absolute error bound) for a
+    complex s; the mpmath nodes of the Rice lines take zeta from here.
+
+    For Re s > 1/2 where `_borwein_setup` serves s: Borwein's sum with the
+    setup's wp, n, coefficients and amplitudes, and phases from
+    `_borwein_phases`, one `cos_sin_fixed` call per prime k.  With u =
+    2^-wp, S = -(1/d_n) sum_(k<n) (-1)^k (d_k - d_n) (k+1)^-s, z = the
+    fixed-point sum divided by -d_n and floored, q' = 1 - 2 a_2 c_2 (a_2 the
+    amplitude 2^-Re(s), c_2 the phase 2^-it, both held), and v = z/q'
+    with each part rounded once from the exact quotient, the bound is
+
+        2^(1-prec) |v| + (E + tau + (|z| + 1) D / Q) u / Q,  Q = |q'| - D u,
+
+    each term an upper bound for one source of error:
+    - tau: Borwein's truncation.  zeta(s) = S/(1 - 2^(1-s)) + g, |g| <= 3
+      (3 + sqrt 8)^-n (1 + 2|t|) e^(pi|t|/2) / |1 - 2^(1-s)| for Re s >= 1/2
+      (P. Borwein, "An efficient algorithm for the Riemann zeta function",
+      CMS Conf. Proc. 27 (2000), Prop. 1; the 3 bounds his 2/|Gamma(s)|
+      there); tau is that numerator in units u.  The setup keeps mpmath's n,
+      as it already keeps tau < 4: with |t| truncated first, n >= wp/2.54 +
+      2.1 + 0.9|t|, so log2 tau <= log2(3 (1 + 2|t|)) + 2.2662|t| - 2.5431 n
+      + wp <= log2(1 + 2|t|) - 3.75 - 0.0226|t| < 2 (1.8 near |t| = 62).
+    - E: the units of |z - S|.  A phase errs by e_k (`_borwein_phases`),
+      an amplitude by A = C' + 4 + 1.01 s + 0.74 (1 + s/ln 2), s = Re s, C'
+      = 4 ceil(wp/r) + 8, r = floor(sqrt wp): exp_fixed's basecase sums its
+      series in x 2^-r at wp + r bits, each term within 2 units, squares r
+      times and drops r bits; its argument errs by 1.01 s (log k) + ln k
+      (ref floored) + 1 (the shift) + |N| <= s ln k / ln 2 + 1 (the ln 2
+      reductions), times k^-s, and k^-s ln k <= 1/(e s).  With |d_k - d_n|
+      <= d_n and k^-s <= 1, and sqrt 2 for the two floors of each term and
+      for the floored division by -d_n (n sqrt 2 / d_n <= sqrt 2 in all):
+      E = n A + sum_k e_k + 3.
+    - D = 2 (A + e_2) + 3: the units of |q' - (1 - 2^(1-s))|; 2 a_2 c_2
+      is one product of two held values, each part floored at wp - 1 bits
+      (2 sqrt 2 units).
+    - 2^(1-prec) |v|: each part of v is within 2^-prec of its exact value,
+      relative (`from_rational` rounds correctly, to nearest by default).
+    Every other input (Re s <= 1/2, where the setup hands s on, and s so
+    near a zero of 1 - 2^(1-s) that Q <= 0) takes mpmath.zeta(s), charged
+    2^(1-prec) |v|: an allowance, as mpmath proves no bound on it.
+    """
+    prec, rnd = mpmath.mp._prec_rounding
+    re, im = s._mpc_
+    setup = None if mpf_le(re, fhalf) else _borwein_setup(s)
+    if setup is None:
+        return _zeta_allowed(s, prec)
+    wp, _, d, logs, weights = setup
+    res, ims, charges = _borwein_phases(to_fixed(im, wp), logs, wp)
+    tre = tim = MPZ_ZERO
+    for w, cre, cim in zip(weights, res[1:], ims[1:]):
+        tre += (w * cre) >> wp
+        tim += (w * cim) >> wp
+    tre, tim = tre // -d[-1], tim // -d[-1]
+    amp2 = weights[1] // (d[-1] - d[1])
+    qre, qim = (1 << wp) - (amp2 * res[2] >> (wp - 1)), -(amp2 * ims[2] >> (wp - 1))
+    den = qre * qre + qim * qim
+    v = (from_rational(tre * qre + tim * qim, den, prec, rnd),
+         from_rational(tim * qre - tre * qim, den, prec, rnd))
+
+    n, sigma, t = len(logs), to_float(re), abs(to_float(im))
+    amp = 4 * -(-wp // math.isqrt(wp)) + 12 + 1.01 * sigma + 0.74 * (1 + sigma / math.log(2))
+    E = n * amp + sum(charges) + 3
+    D = 2 * (amp + charges[2]) + 3
+    tau = 2.0 ** (wp + math.log2(3 * (1 + 2 * t)) + math.pi * t / (2 * math.log(2))
+                  - n * math.log2(3 + math.sqrt(8)))
+    Q = _abs_float(qre, qim, wp) * (1 - 2.0 ** -50) - math.ldexp(D, -wp)
+    if Q <= 0:  # s within about D u of a zero of 1 - 2^(1-s)
+        return _zeta_allowed(s, prec)
+    units = (E + tau + (_abs_float(tre, tim, wp) + 1) * D / Q) / Q
+    units += math.ldexp(math.hypot(to_float(v[0]), to_float(v[1])), wp + 1 - prec)
+    bound = from_man_exp(math.ceil(units * (1 + 2.0 ** -40)), -wp)
+    return mpmath.mp.make_mpc(v), mpmath.mp.make_mpf(bound)
+
+
+def _zeta_allowed(s: mpc, prec: int) -> tuple[mpc, mpf]:
+    """mpmath.zeta(s) and its allowance 2^(1-prec) |zeta(s)|."""
+    v = mpmath.zeta(s)
+    return v, mpmath.ldexp(abs(v), 1 - prec)
+
+
+def _abs_float(re: int, im: int, wp: int) -> float:
+    """|re + i im| 2^-wp as a float."""
+    return math.hypot(to_float(from_man_exp(re, -wp)), to_float(from_man_exp(im, -wp)))
+
+
+def _least_prime_factors(limit: int) -> list[int]:
+    """[spf(0..limit)]: the least prime factor of each i >= 2, and i below."""
+    spf = list(range(limit + 1))
+    for i in range(2, math.isqrt(limit) + 1):
+        if spf[i] == i:
+            for j in range(i * i, limit + 1, i):
+                if spf[j] == j:
+                    spf[j] = i
+    return spf
 
 
 def mobius_upto(limit: int) -> list[int]:
@@ -487,12 +670,7 @@ def mobius_upto(limit: int) -> list[int]:
     mu = [0] * (limit + 1)
     if limit >= 1:
         mu[1] = 1
-    spf = list(range(limit + 1))
-    for i in range(2, int(math.isqrt(limit)) + 1):
-        if spf[i] == i:
-            for j in range(i * i, limit + 1, i):
-                if spf[j] == j:
-                    spf[j] = i
+    spf = _least_prime_factors(limit)
     for i in range(2, limit + 1):
         p = spf[i]
         rest = i // p

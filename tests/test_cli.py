@@ -2,6 +2,8 @@
 
 import json
 import re
+import subprocess
+import sys
 
 import pytest
 from mpmath import workdps
@@ -264,3 +266,11 @@ def test_verify_fast(capsys):
     assert code == 0
     assert "5/5 checks passed" in out
     assert "FAIL" not in out
+
+
+def test_cli_and_contour_import_neither_numpy_nor_scipy():
+    # importing numpy raises peak RSS by about half; nothing here needs it
+    code = ("import sys, zetadiff.cli, zetadiff.contour; "
+            "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -1,5 +1,7 @@
 """Difference sequences: closed forms, dual methods, cross-identities."""
 
+from fractions import Fraction
+
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -292,3 +294,24 @@ def test_single_large_index_reads_the_zeta_table(monkeypatch):
     monkeypatch.setattr(mpcore, "zeta_int", counted)
     differences.b(1000, 15)
     assert len(calls) <= 10  # only the inputs near a rounding tie
+
+
+@pytest.mark.parametrize("bits", [60, 92, 217])
+def test_harmonic_fixed_equals_the_exact_fraction_floors(monkeypatch, bits):
+    ns = list(range(0, 3001))
+    exact, h = {}, Fraction(0)
+    for n in ns:
+        if n >= 2:
+            h += Fraction(1, n - 1)
+        exact[n] = (h.numerator << bits) // h.denominator
+    exact_sums = []
+    harmonic = mpcore.harmonic
+
+    def counted(n):
+        exact_sums.append(n)
+        return harmonic(n)
+
+    monkeypatch.setattr(mpcore, "harmonic", counted)
+    assert differences._harmonic_fixed(ns, bits) == exact
+    # bits 92 and 217 each put one running sum within n units of 2^g
+    assert exact_sums == {60: [], 92: [2184], 217: [557]}[bits]

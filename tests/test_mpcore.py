@@ -309,6 +309,31 @@ def test_zeta_rounded_wide_window_falls_back_with_the_same_bits(monkeypatch):
     assert [z._mpf_ for z in forced[2:]] == [z._mpf_ for z in decided[2:]]
 
 
+def _cell_edges(prec, sh, rng):
+    """x around the rounding cells of a random mantissa at prec + sh bits."""
+    m = rng.randrange(1 << (prec - 1), 1 << prec)
+    half = 1 << (sh - 1)
+    for edge in ((m << sh) - half, (m << sh) + half, m << sh,
+                 ((m | 1) << sh) - half, ((m | 1) << sh) + half,
+                 (1 << (prec + sh)) - 1, 1 << (prec + sh - 1)):
+        for d in range(-4, 5):
+            yield edge + d
+
+
+@pytest.mark.parametrize("working", [5, 15, 30, 60, 153])
+def test_rounds_alike_decides_as_both_ends_rounded(working):
+    # the old decision rounded x - window and x + window and compared them
+    prec = dps_to_prec(working)
+    rng = random.Random(working)
+    for sh in (1, 2, 3, 10, 11, 40):
+        for _ in range(40):
+            for x in _cell_edges(prec, sh, rng):
+                for window in (0, 1, 2, 3, 4):
+                    both = (libmp.from_man_exp(x - window, -sh, prec, round_nearest)
+                            == libmp.from_man_exp(x + window, -sh, prec, round_nearest))
+                    assert mpcore._rounds_alike(x, window, prec) == both, (x, window, prec)
+
+
 def test_batch_near_a_tie_takes_the_fallback(monkeypatch):
     from zetadiff import differences
 
@@ -431,3 +456,72 @@ def test_zeta_rounded_from_threads_gives_zeta_int_bits(monkeypatch):
     # whichever rebinding won, the memo is one whole table at one width
     cbits, table = mpcore._ZETA_FIXED
     assert list(table) == mpcore._hurwitz_fixed(len(table) - 1, 1, 1, cbits)
+
+
+# Re s = 3/2 at heights across the Rice lines' mpmath nodes: zeta(3/2 + it)
+# on the right and inverse lines, zeta(3/2 - it) for the left line's 1 - s
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    t=st.floats(0.01, 130, allow_nan=False),
+    sign=st.sampled_from([1, -1]),
+    dps=st.integers(10, 60),
+)
+@example(t=130.0, sign=1, dps=60)
+@example(t=0.01, sign=-1, dps=10)
+@example(t=36.0, sign=1, dps=10)  # at the |s| <= prec edge of the Borwein branch
+def test_zeta_bounded_within_its_bound(t, sign, dps):
+    with workdps(dps):
+        prec = mpmath.mp.prec
+        s = mpmath.mpc("1.5", sign * mpf(t))
+        value, bound = mpcore._zeta_bounded(s)
+        setup = mpcore._borwein_setup(s)
+    with workdps(dps + 30):
+        assert abs(value - mpmath.zeta(s)) <= bound <= mpmath.ldexp(abs(value), 4 - prec)
+    if setup is None:
+        return
+    # the phases: each product floored in both parts, each within its charge
+    wp, logs = setup[0], setup[3]
+    imf = libmp.to_fixed(s._mpc_[1], wp)
+    res, ims, charges = mpcore._borwein_phases(imf, logs, wp)
+    spf = mpcore._least_prime_factors(len(logs))
+    with workdps(dps + 30):
+        for k in range(2, len(logs) + 1):
+            p, q = spf[k], k // spf[k]
+            if p < k:
+                re2 = res[p] * res[q] - ims[p] * ims[q]
+                im2 = res[p] * ims[q] + ims[p] * res[q]
+                assert 0 <= re2 - (res[k] << wp) < 1 << wp, k
+                assert 0 <= im2 - (ims[k] << wp) < 1 << wp, k
+            exact = mpmath.expj(-s.imag * mpmath.log(k)) * mpmath.ldexp(1, wp)
+            assert abs(mpmath.mpc(res[k], ims[k]) - exact) <= charges[k], k
+
+
+def test_zeta_bounded_calls_cos_sin_fixed_at_primes_only(monkeypatch):
+    with workdps(30):
+        s = mpmath.mpc("1.5", "7.25")
+        wp, _, _, logs, _ = mpcore._borwein_setup(s)
+        imf = libmp.to_fixed(s._mpc_[1], wp)
+        primes = [k for k in range(2, len(logs) + 1) if all(k % j for j in range(2, k))]
+        seen = []
+        real = mpcore.cos_sin_fixed
+
+        def spy(x, prec, pi2=None):
+            seen.append(x)
+            return real(x, prec, pi2)
+
+        monkeypatch.setattr(mpcore, "cos_sin_fixed", spy)
+        mpcore._zeta_bounded(s)
+    assert seen == [(-imf * logs[p - 1]) >> wp for p in primes]
+    assert (len(logs), len(primes)) == (59, 17)
+
+
+def test_mpmath_term_count_keeps_borwein_truncation_below_four_units():
+    # 3 (3 + sqrt 8)^-n (1 + 2t) e^(pi t/2) < 4 2^-wp at mpmath's n, which
+    # truncates t before it takes 0.9 t; worst just below t = 62
+    for wp in range(24, 2400, 7):
+        for ti in range(0, 3000):
+            t = ti + 0.999999
+            n = int(wp / 2.54 + 5) + int(0.9 * ti)
+            tau = (math.log2(3 * (1 + 2 * t)) + math.pi * t / (2 * math.log(2))
+                   - n * math.log2(3 + math.sqrt(8)))
+            assert tau < 2 - wp, (wp, t)
