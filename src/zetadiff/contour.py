@@ -481,9 +481,13 @@ def _line_data(kind: str, n: int, target: int):
 
 
 def _check_height(T) -> None:
-    """Refuse a caller's truncation height that is not finite and positive."""
-    if T is not None and not 0 < T < math.inf:
-        raise DomainError(f"truncation height must be finite and positive, got {T}")
+    """Refuse a caller's truncation height that is not a finite positive number."""
+    try:
+        ok = T is None or 0 < T < math.inf
+    except TypeError:  # no order against numbers: a string, a complex
+        ok = False
+    if not ok:
+        raise DomainError(f"truncation height must be finite and positive, got {T!r}")
 
 
 def _choose_height(tail, tol_abs, T_given, what: str, T_start=4):

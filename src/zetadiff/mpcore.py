@@ -3,8 +3,7 @@
 Thin, policy-carrying layer over mpmath: integer zeta values, Hurwitz zeta
 values at integer arguments from an exact fixed-point table, Euler's
 constant, exact harmonic numbers, digamma at rational points, complex
-gamma/zeta (with the reflection route for the left half-plane), and a Mobius
-sieve.
+gamma/zeta, and a Mobius sieve.
 
 Precision convention for this module: `prec` is a PrecisionBudget (its
 working_digits are used), a plain int meaning working digits directly, or
@@ -22,12 +21,11 @@ l; for m = k = 1 the even entries come from the closed form of zeta(2j).
 returns, for every sequence input; an entry it cannot decide falls back to
 `zeta_int`.
 
-Borwein's algorithm for complex zeta has one setup, `_borwein_setup`, which
-keeps the amplitudes k^-(Re s) of its sum across the calls on a vertical
-line, and two routes.  `_zeta_borwein` returns mpmath.zeta's bits; `zeta_cx`
-is its only caller.  `_zeta_bounded` serves the contour oracles' Rice lines:
-it forms the phases k^-it by products from those at primes and returns an
-absolute error bound with the value.
+Complex zeta has one route per job.  `zeta_cx` rounds mpmath.zeta once.
+`_zeta_bounded` serves the contour oracles' Rice lines with Borwein's sum
+and an absolute error bound.  Its setup, `_borwein_setup`, keeps the
+amplitudes k^-(Re s) across the calls on a vertical line; the phases k^-it
+come by products from those at primes.
 """
 
 from __future__ import annotations
@@ -40,8 +38,8 @@ import mpmath
 from mpmath import mpf, mpc, workdps
 from mpmath.libmp import (
     MPZ_ZERO, dps_to_prec, fhalf, from_int, from_man_exp, from_rational, fzero, ln2_fixed,
-    mpc_abs, mpc_div, mpc_one, mpc_pow, mpc_sub, mpc_two, mpf_gt, mpf_le, mpf_lt, pi_fixed,
-    round_nearest, to_fixed, to_float, to_int,
+    mpc_abs, mpc_one, mpc_sub, mpf_gt, mpf_le, pi_fixed, round_nearest, to_fixed, to_float,
+    to_int,
 )
 from mpmath.libmp.gammazeta import borwein_coefficients, cos_sin_fixed, exp_fixed, log_int_fixed
 
@@ -408,28 +406,14 @@ def gamma_cx(s, prec=None) -> mpc:
 
 
 def zeta_cx(s, prec=None) -> mpc:
-    """zeta(s) for complex s != 1.
-
-    For Re(s) < 1/2 the reflection formula
-    zeta(s) = 2 (2 pi)^(s-1) sin(pi s / 2) Gamma(1-s) zeta(1-s)
-    routes the evaluation to the half-plane where the direct series-based
-    algorithms are well conditioned.
-    """
+    """zeta(s) for complex s != 1: mpmath.zeta at working + 10 digits,
+    rounded once to the working digits."""
     working = digits(prec)[1]
     with workdps(working + 10):
         s = mpc(s)
         if s == 1:
             raise DomainError("zeta pole at s=1")
-        if s.real >= 0.5:
-            v = _zeta_borwein(s)
-        else:
-            v = (
-                2
-                * (2 * mpmath.pi) ** (s - 1)
-                * mpmath.sinpi(s / 2)
-                * mpmath.gamma(1 - s)
-                * _zeta_borwein(1 - s)
-            )
+        v = mpmath.zeta(s)
     with workdps(working):
         return +v
 
@@ -442,31 +426,31 @@ _AMPLITUDE_KEYS = 8
 
 
 def _borwein_setup(s: mpc):
-    """What both Borwein routes share, or None where mpmath.zeta takes s.
+    """The setup of `_zeta_bounded`'s Borwein sum, or None where mpmath.zeta
+    takes s.
 
-    mpmath 1.3.0's `libmp.mpc_zeta` takes Borwein's algorithm with exp_fixed
-    amplitudes for s not real, Re s >= 0 and not 1/2, |s| <= prec at 10
-    bits, and s not within 2^-wp/2 of the pole; this repeats its setup: wp =
-    prec + 20 (more near the pole), n = int(wp/2.54 + 5) + int(0.9 |Im s|),
-    d = `borwein_coefficients(n)`, and for k < n the weight (k+1)^-Re(s)
-    (-1)^k (d_k - d_n), fixed at wp bits, next to log(k+1) from
-    `log_int_fixed`.
+    None for Re s <= 1/2 (the Rice lines sit at Re s = 3/2), and where mpmath
+    1.3.0's `libmp.mpc_zeta` does not take Borwein's algorithm either: for
+    real s, for |s| > prec at 10 bits (the left line's far nodes), and
+    within 2^-wp/2 of the pole.  As there: wp = prec + 20 (more near the
+    pole), n = int(wp/2.54 + 5) + int(0.9 |Im s|), d =
+    `borwein_coefficients(n)`, and for k < n the weight (k+1)^-Re(s) (-1)^k
+    (d_k - d_n), fixed at wp bits, next to log(k+1) from `log_int_fixed`.
     The amplitude exp_fixed((-ref log k) >> wp, wp) is read from
     `_AMPLITUDES`: on a vertical line Re s and wp are fixed, so only the
     phase k^-i Im(s) is new at each node.  An entry is read only where its
     stored log k equals the one `log_int_fixed` returns now, as mpmath's log
     cache can refine that value; otherwise it is computed and stored afresh.
-    Returns (wp, 1 - s at wp bits, d, [log(k+1)], [weight]).
+    Returns (wp, d, [log(k+1)], [weight]).
     """
     global _AMPLITUDES
     prec = mpmath.mp.prec
     re, im = s._mpc_
-    if (im == fzero or mpf_lt(re, fzero) or re == fhalf
+    if (mpf_le(re, fhalf) or im == fzero
             or mpf_gt(mpc_abs(s._mpc_, 10), from_int(prec))):
         return None
     wp = prec + 20
-    r = mpc_sub(mpc_one, s._mpc_, wp)
-    _, _, aexp, abc = mpc_abs(r, 10)
+    _, _, aexp, abc = mpc_abs(mpc_sub(mpc_one, s._mpc_, wp), 10)
     pole_dist = -2 * (aexp + abc)
     if pole_dist > wp:
         return None
@@ -489,32 +473,7 @@ def _borwein_setup(s: mpc):
         table = grown
     dn = d[n]
     weights = [w * (dn - dk if k & 1 else dk - dn) for k, ((_, w), dk) in enumerate(zip(table[:n], d))]
-    return wp, r, d, logs, weights
-
-
-def _zeta_borwein(s: mpc) -> mpc:
-    """mpmath.zeta(s) for a complex s at the ambient precision, bit for bit.
-
-    Where `_borwein_setup` serves s, this repeats mpc_zeta's loop step for
-    step, with the phase k^-i Im(s) from one `cos_sin_fixed` call per term,
-    and its division by -d_n (1 - 2^(1-s)); every other input goes to
-    mpmath.zeta.  `zeta_cx` is its only caller.
-    """
-    setup = _borwein_setup(s)
-    if setup is None:
-        return mpmath.zeta(s)
-    prec, rnd = mpmath.mp._prec_rounding
-    wp, r, d, logs, weights = setup
-    imf = to_fixed(s._mpc_[1], wp)
-    pi2 = pi_fixed(wp - 1)
-    tre = tim = MPZ_ZERO
-    for log, w in zip(logs, weights):
-        wre, wim = cos_sin_fixed((-imf * log) >> wp, wp, pi2)
-        tre += (w * wre) >> wp
-        tim += (w * wim) >> wp
-    z = (from_man_exp(tre // -d[-1], -wp, wp), from_man_exp(tim // -d[-1], -wp, wp))
-    q = mpc_sub(mpc_one, mpc_pow(mpc_two, r, wp), wp)
-    return mpmath.mp.make_mpc(mpc_div(z, q, prec, rnd))
+    return wp, d, logs, weights
 
 
 def _borwein_phases(imf: int, logs: list, wp: int) -> tuple[list, list, list]:
@@ -604,16 +563,16 @@ def _zeta_bounded(s: mpc) -> tuple[mpc, mpf]:
       (2 sqrt 2 units).
     - 2^(1-prec) |v|: each part of v is within 2^-prec of its exact value,
       relative (`from_rational` rounds correctly, to nearest by default).
-    Every other input (Re s <= 1/2, where the setup hands s on, and s so
-    near a zero of 1 - 2^(1-s) that Q <= 0) takes mpmath.zeta(s), charged
-    2^(1-prec) |v|: an allowance, as mpmath proves no bound on it.
+    Every other input (where the setup hands s on, and s so near a zero of
+    1 - 2^(1-s) that Q <= 0) takes mpmath.zeta(s), charged 2^(1-prec) |v|:
+    an allowance, as mpmath proves no bound on it.
     """
     prec, rnd = mpmath.mp._prec_rounding
     re, im = s._mpc_
-    setup = None if mpf_le(re, fhalf) else _borwein_setup(s)
+    setup = _borwein_setup(s)
     if setup is None:
         return _zeta_allowed(s, prec)
-    wp, _, d, logs, weights = setup
+    wp, d, logs, weights = setup
     res, ims, charges = _borwein_phases(to_fixed(im, wp), logs, wp)
     tre = tim = MPZ_ZERO
     for w, cre, cim in zip(weights, res[1:], ims[1:]):

@@ -205,4 +205,7 @@ def parse_decimal(s: str, working_digits: int | None = None) -> mpf:
         digits = sum(c.isdigit() for c in s.split("e")[0].split("E")[0])
         working_digits = max(digits + 15, mpmath.mp.dps)
     with mpmath.workdps(working_digits):
-        return mpf(s)
+        try:
+            return mpf(s)
+        except ValueError as exc:
+            raise DomainError(f"cannot parse decimal {s!r}") from exc

@@ -162,6 +162,8 @@ def newton_eval(s, N: int, prec: PrecisionBudget | int = 15):
         raise DomainError(f"truncation order must be an integer >= 1, got {N!r}")
     target, working = digits(prec, 12 + math.ceil(math.log10(N + 1)))
     s = mpmath.mpmathify(s)
+    if not mpmath.isfinite(s):
+        raise DomainError(f"evaluation point must be finite, got {s}")
     if isinstance(s, mpmath.mpc) and s.imag == 0:
         s = s.real
     _refuse_growing_tail(s, N)

@@ -399,7 +399,7 @@ def test_rice_lines_share_the_bounded_amplitude_table(monkeypatch):
     assert {key for key, _ in mpcore._AMPLITUDES} == keys
     for dps in range(10, 30):
         with workdps(dps):
-            mpcore._zeta_borwein(mpc("1.5", "2"))
+            mpcore._zeta_bounded(mpc("1.5", "2"))
     assert len(mpcore._AMPLITUDES) == mpcore._AMPLITUDE_KEYS
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mpf, workdps
 
-from zetadiff import asymptotics, contour, differences, mpcore, series
+from zetadiff import asymptotics, contour, differences, mpcore, precision, series
 from zetadiff.errors import DomainError
 from zetadiff.precision import PrecisionBudget, as_budget
 
@@ -259,6 +259,21 @@ def test_library_calls_leave_mp_precision_unchanged():
 def test_nonpositive_precision_is_a_domain_error(call, prec):
     with pytest.raises(DomainError):
         call(prec)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: series.newton_eval(mpmath.inf, 10),
+        lambda: series.newton_eval(mpmath.nan, 10),
+        lambda: contour.rice_integral("zeta-right", 6, 10, T="x"),
+        lambda: precision.parse_decimal("abc"),
+    ],
+    ids=["newton_eval-inf", "newton_eval-nan", "rice_integral-T", "parse_decimal"],
+)
+def test_bad_library_inputs_are_domain_errors(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 # (kind, method, n, digits) read from the zeta table at several widths

@@ -175,26 +175,8 @@ def test_zeta_cx_reflection_agrees_with_direct():
             assert abs(ours - ref) < mpf("1e-35") * max(1, abs(ref))
 
 
-_BORWEIN_SIGMAS = ("1.5", "0.5", "2.25", "1 + 0.7 sqrt(50)")
-
-
-@settings(max_examples=80, deadline=None, derandomize=True)
-@given(
-    sigma=st.sampled_from(_BORWEIN_SIGMAS),
-    t=st.floats(-400, 400, allow_nan=False).filter(lambda t: t != 0),
-    dps=st.integers(10, 70),
-)
-@example(sigma="1.5", t=399.0, dps=10)  # far past |s| > prec: mpmath's generic path
-@example(sigma="0.5", t=14.134725, dps=40)
-def test_zeta_borwein_equals_mpmath_zeta_bit_for_bit(sigma, t, dps):
-    with workdps(dps):
-        re = 1 + mpf("0.7") * mpmath.sqrt(50) if sigma == _BORWEIN_SIGMAS[-1] else mpf(sigma)
-        s = mpmath.mpc(re, t)
-        assert mpcore._zeta_borwein(s)._mpc_ == mpmath.zeta(s)._mpc_
-
-
-def _borwein_calls(monkeypatch, s):
-    """(result bits, whether `_zeta_borwein` handed s to mpmath.zeta)."""
+def _bounded_calls(monkeypatch, s):
+    """(value, bound, whether `_zeta_bounded` handed s to mpmath.zeta)."""
     fallbacks = []
     zeta = mpmath.zeta
 
@@ -203,38 +185,49 @@ def _borwein_calls(monkeypatch, s):
         return zeta(x)
 
     monkeypatch.setattr(mpmath, "zeta", counted)
-    got = mpcore._zeta_borwein(s)._mpc_
+    value, bound = mpcore._zeta_bounded(s)
     monkeypatch.setattr(mpmath, "zeta", zeta)
-    return got, bool(fallbacks)
+    return value, bound, bool(fallbacks)
+
+
+def _check_bounded(s, value, bound, fell):
+    """mpmath.zeta's own bits where s was handed on; else within the bound."""
+    if fell:
+        assert value._mpc_ == mpmath.zeta(s)._mpc_
+    else:
+        with workdps(mpmath.mp.dps + 30):
+            assert abs(value - mpmath.zeta(s)) <= bound
 
 
 @pytest.mark.parametrize("s, dps, falls_back", [
     (("2.5", "0"), 30, True),  # real s
     (("-0.5", "7"), 30, True),  # Re s < 0
-    (("0.5", "14"), 30, True),  # mpmath's square-root amplitudes
+    (("0.5", "14"), 30, True),  # Re s <= 1/2, left of the Rice lines
     (("1", "1e-30"), 30, True),  # within 2^-wp/2 of the pole
     (("1", "1e-30"), 70, False),  # the pole is farther at 70 digits; wp grows
     (("1.5", "3"), 30, False),
+    (("0.25", "14"), 30, True),  # 0 < Re s < 1/2, where mpmath takes Borwein
 ])
 def test_zeta_borwein_branches_as_mpc_zeta(monkeypatch, s, dps, falls_back):
     with workdps(dps):
         s = mpmath.mpc(*s)
-        got, fell = _borwein_calls(monkeypatch, s)
-        assert got == mpmath.zeta(s)._mpc_
+        value, bound, fell = _bounded_calls(monkeypatch, s)
         assert fell == falls_back
+        _check_bounded(s, value, bound, fell)
 
 
 @pytest.mark.parametrize("dps", [20, 45, 70])
 @pytest.mark.parametrize("offset", ["-0.9", "-0.5", "0.04", "0.5", "0.9"])
 def test_zeta_borwein_tests_abs_s_at_ten_bits_like_mpmath(monkeypatch, dps, offset):
     # |s| = prec + offset: at 10 bits, rounded down, |s| = prec + 0.04 reads
-    # prec, so mpmath takes Borwein's algorithm where an exact test would not
+    # prec, so mpmath takes Borwein's algorithm where an exact test would not;
+    # the left line's far nodes sit on either side of this edge
     with workdps(dps):
         prec = mpmath.mp.prec
         t = mpmath.sqrt((prec + mpf(offset)) ** 2 - mpf("2.25"))
         s = mpmath.mpc("1.5", t)
-        got, fell = _borwein_calls(monkeypatch, s)
-        assert got == mpmath.zeta(s)._mpc_
+        value, bound, fell = _bounded_calls(monkeypatch, s)
+        _check_bounded(s, value, bound, fell)
         try:
             libmp.mpc_zeta(s._mpc_, prec, round_nearest)
             borwein = True
@@ -251,19 +244,27 @@ def test_zeta_borwein_recomputes_an_amplitude_whose_log_moved(monkeypatch):
     monkeypatch.setattr(mpcore, "_AMPLITUDES", ())
     with workdps(30):
         s = mpmath.mpc("1.5", "5.25")
-        want = mpmath.zeta(s)._mpc_
-        assert mpcore._zeta_borwein(s)._mpc_ == want
+        want = mpcore._zeta_bounded(s)
         (key, table), = mpcore._AMPLITUDES
         stale = list(table)
         stale[3] = (stale[3][0] + 1, stale[3][1] + 12345)
         monkeypatch.setattr(mpcore, "_AMPLITUDES", ((key, tuple(stale)),))
-        assert mpcore._zeta_borwein(s)._mpc_ == want
+        assert mpcore._zeta_bounded(s) == want
         assert mpcore._AMPLITUDES == ((key, table),)
 
 
 def test_zeta_cx_pole_rejected():
     with pytest.raises(DomainError):
         mpcore.zeta_cx(1, 30)
+
+
+def test_zeta_cx_at_and_near_zero():
+    # zeta(0) = -1/2, where sin(pi s/2) vanishes and zeta(1 - s) has its pole
+    assert mpcore.zeta_cx(0, 30) == mpf("-0.5")
+    got = mpcore.zeta_cx(mpf("1e-30"), 30)
+    with workdps(60):
+        want = mpmath.zeta(mpf("1e-30"))
+        assert abs(got - want) < mpf("1e-30") * abs(want)
 
 
 def test_mobius_upto_initial_segment():
@@ -480,7 +481,7 @@ def test_zeta_bounded_within_its_bound(t, sign, dps):
     if setup is None:
         return
     # the phases: each product floored in both parts, each within its charge
-    wp, logs = setup[0], setup[3]
+    wp, logs = setup[0], setup[2]
     imf = libmp.to_fixed(s._mpc_[1], wp)
     res, ims, charges = mpcore._borwein_phases(imf, logs, wp)
     spf = mpcore._least_prime_factors(len(logs))
@@ -499,7 +500,7 @@ def test_zeta_bounded_within_its_bound(t, sign, dps):
 def test_zeta_bounded_calls_cos_sin_fixed_at_primes_only(monkeypatch):
     with workdps(30):
         s = mpmath.mpc("1.5", "7.25")
-        wp, _, _, logs, _ = mpcore._borwein_setup(s)
+        wp, _, logs, _ = mpcore._borwein_setup(s)
         imf = libmp.to_fixed(s._mpc_[1], wp)
         primes = [k for k in range(2, len(logs) + 1) if all(k % j for j in range(2, k))]
         seen = []
