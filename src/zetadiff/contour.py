@@ -43,15 +43,13 @@ float64 integrand with a proven error bound, from `floattier`.  One driver,
 is bounded at every node and the panel's bound fits its share of half the
 tolerance, with the bound joining the error estimate; mpmath otherwise,
 which is mostly the head of each contour where the integrand is largest.
-There zeta comes from `mpcore._zeta_bounded`, Borwein's sum in fixed point
-with a stated error bound: the amplitudes k^-(Re s) are shared by every node
+There zeta comes from `mpcore._zeta_bounded`, Euler-Maclaurin summation in
+fixed point with a stated error bound, on the left line at Re s = -1/2 as
+directly as on the others: the amplitudes k^-(Re s) are shared by every node
 of a line through one bounded table, and the phases k^-it are computed at
-primes only and multiplied out for composite k.
-The left line reflects: zeta(s) = chi(s) zeta(1 - s), with zeta(1 - s) from
-`_zeta_bounded` on Re s = 3/2 at the line's working digits, and chi in closed
-form at a few more digits, as many more as t has (`_left_reflection`).  The
-Rice kernel n!/(s(s-1)...(s-n)) is one fixed-point product (`_rice_kernel`),
-and each Rice integrand forms only the real part it returns.
+primes only and multiplied out for composite k.  The Rice kernel
+n!/(s(s-1)...(s-n)) is one fixed-point product (`_rice_kernel`), and each
+Rice integrand forms only the real part it returns.
 Truncation heights come from explicit tail bounds; a user-supplied height
 that cannot meet the tolerance, or a quadrature that runs out of its panel
 budget, raises TruncationBoundError rather than returning a silently wrong
@@ -68,8 +66,7 @@ from dataclasses import dataclass
 import mpmath
 from mpmath import mpf, mpc, workdps
 from mpmath.libmp import (
-    dps_to_prec, fone, from_man_exp, mpc_gamma, mpc_mpf_div, mpc_mul, mpc_mul_mpf, mpf_add, mpf_cos_sin,
-    mpf_cosh_sinh, mpf_div, mpf_log, mpf_mul, mpf_neg, mpf_pi, mpf_shift, mpf_sqrt, mpf_sub, round_nearest,
+    dps_to_prec, from_man_exp, mpc_mpf_div, mpf_add, mpf_div, mpf_mul, mpf_neg, mpf_sub, round_nearest,
 )
 
 from . import mpcore
@@ -83,8 +80,6 @@ RICE_KINDS = ("zeta-right", "zeta-left", "inv-zeta")
 
 _MAX_RICE_N = 100
 _MAX_TARGET = 30
-
-_THREE_HALVES = from_man_exp(3, -1)
 
 # Gauss-Legendre degree of every panel rule, and of a left line truncated
 # above T = 2000
@@ -372,27 +367,6 @@ def _re_div(z, w) -> mpf:
     return mpmath.mp.make_mpf(mpf_div(mpf_add(mpf_mul(a, c), mpf_mul(b, d), prec + 10), mag, prec, rnd))
 
 
-def _left_reflection(t, working: int) -> mpc:
-    """chi(s) of zeta(s) = chi(s) zeta(1 - s) at s = -1/2 + it, t >= 0, in
-    closed form:
-
-        sqrt(2) (2 pi)^(-3/2) e^(it ln 2 pi) (-cosh(pi t/2) + i sinh(pi t/2)) Gamma(3/2 - it),
-
-    where sqrt(2) (2 pi)^(-3/2) = 1/(2 pi^(3/2)).  The exponentials'
-    arguments grow like t, so a relative error u in them costs t u: chi is
-    evaluated at working + ceil(log10(1 + t)) + 2 digits and rounded once
-    to the ambient precision."""
-    prec, rnd = mpmath.mp._prec_rounding
-    wp = dps_to_prec(working + math.ceil(math.log10(1 + float(t))) + 2)
-    t = t._mpf_
-    pi = mpf_pi(wp)
-    ch, sh = mpf_cosh_sinh(mpf_shift(mpf_mul(pi, t, wp), -1), wp)
-    c, s = mpf_cos_sin(mpf_mul(t, mpf_log(mpf_shift(pi, 1), wp), wp), wp)
-    chi = mpc_mul(mpc_mul((c, s), (mpf_neg(ch), sh), wp), mpc_gamma((_THREE_HALVES, mpf_neg(t)), wp), wp)
-    scale = mpf_div(fone, mpf_shift(mpf_mul(pi, mpf_sqrt(pi, wp), wp), 1), wp)
-    return mpmath.mp.make_mpc(mpc_mul_mpf(chi, scale, prec, rnd))
-
-
 def _line_freq(n: int, ln_amp: float, tol: float):
     """Float estimate of the integrand's local phase rate on the line
     Re s = 3/2, where |phi| <= e^ln_amp.
@@ -431,14 +405,15 @@ def _line_data(kind: str, n: int, target: int):
     with workdps(working):
         ln_fact = mpmath.loggamma(n + 1)
         fact = mpf(math.factorial(n))
+        c = mpf("-0.5") if kind == "zeta-left" else mpf("1.5")
+        inverse = kind == "inv-zeta"  # phi = 1/zeta, else zeta
+
+        def f(t):
+            s = mpc(c, t)
+            kern, z = _rice_kernel(s, n, fact), mpcore._zeta_bounded(s)[0]
+            return _re_div(kern, z) if inverse else _re_mul(z, kern)
+
         if kind == "zeta-left":
-            c = mpf("-0.5")
-
-            def f(t):
-                # zeta(s) = chi(s) zeta(1 - s), and 1 - s = 3/2 - it
-                zeta = _left_reflection(t, working) * mpcore._zeta_bounded(mpc(1.5, -t))[0]
-                return _re_mul(zeta, _rice_kernel(mpc(c, t), n, fact))
-
             lg_fact = math.lgamma(n + 1)
 
             def g(t, dt):
@@ -458,16 +433,9 @@ def _line_data(kind: str, n: int, target: int):
 
             return working, f, g, tail, +envelope_bound(n, working), None
 
-        # zeta-right (phi = zeta) and inv-zeta (phi = 1/zeta), |phi| <= amp
-        c = mpf("1.5")
-        inverse = kind == "inv-zeta"
+        # zeta-right and inv-zeta, |phi| <= amp
         amp = mpmath.zeta(c) / mpmath.zeta(2 * c) if inverse else mpmath.zeta(c)
         ln_fact_f = float(ln_fact)
-
-        def f(t):
-            s = mpc(c, t)
-            kern, z = _rice_kernel(s, n, fact), mpcore._zeta_bounded(s)[0]
-            return _re_div(kern, z) if inverse else _re_mul(z, kern)
 
         def g(t, dt):
             return _rice_line_float(t, dt, n, ln_fact_f, inverse)

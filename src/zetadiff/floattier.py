@@ -1,12 +1,13 @@
 """The float64 tier of the contour oracles.
 
 Away from the start of each contour the integrand needs only 1e-11..1e-13
-relative accuracy, yet one mpmath evaluation costs 0.4-2 ms on the head of a
-Rice line at 26-58 digits, and ~40 ms for zeta(1-s) at t ~ 6000, 36 digits,
-where mpmath leaves Borwein's algorithm.  This module evaluates the integrands in
-float64 with a proven bound on the error: zeta by Euler-Maclaurin
-(`_zeta_float`), log Gamma by Stirling's series (`_loggamma_float`), and on
-them the integrand of each Rice line and of the saddle contour.  Every float
+relative accuracy, yet one mpmath-tier zeta costs 0.1-0.25 ms on the head of
+a Rice line at 26-58 digits, and ~4 ms at t ~ 6000, 36 digits, on the left
+line (`mpcore._zeta_bounded`; mpmath.zeta itself takes 1.5-6 and ~35 ms
+there).  This module evaluates the integrands in float64 with a proven
+bound on the error: zeta by Euler-Maclaurin (`_zeta_float`), log Gamma by
+Stirling's series (`_loggamma_float`), and on them the integrand of each
+Rice line and of the saddle contour.  Every float
 integrand returns (value, bound), or None where its bound does not hold; the
 bound covers the rounding dt of the float node too, on every line and saddle
 piece.  The Dirichlet amplitudes k^-sigma come from one table per sigma and

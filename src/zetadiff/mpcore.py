@@ -22,26 +22,33 @@ returns, for every sequence input; an entry it cannot decide falls back to
 `zeta_int`.
 
 Complex zeta has one route per job.  `zeta_cx` rounds mpmath.zeta once.
-`_zeta_bounded` serves the contour oracles' Rice lines with Borwein's sum
-and an absolute error bound.  Its setup, `_borwein_setup`, keeps the
-amplitudes k^-(Re s) across the calls on a vertical line; the phases k^-it
-come by products from those at primes.
+`_zeta_bounded` serves the contour oracles' Rice lines, Re s = 3/2 and -1/2
+alike, with Euler-Maclaurin summation in fixed point and an absolute error
+bound.  The bound rests on Johansson's remainder theorem, the one that
+`floattier._zeta_float` and `_hurwitz_fixed` use, and on a reading of
+mpmath's fixed-point exp and cos/sin.  `_amplitudes` keeps the k^-(Re s)
+across the calls on a vertical line, `_dirichlet_phases` forms the k^-it by
+products from those at primes, and the correction coefficients B_2j (2
+pi)^2j/(2j)! = +-2 zeta(2j) are even entries of a `_hurwitz_fixed` table,
+built on first use (`_em_coefficients`).
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
 from mpmath import mpf, mpc, workdps
 from mpmath.libmp import (
-    MPZ_ZERO, dps_to_prec, fhalf, from_int, from_man_exp, from_rational, fzero, ln2_fixed,
-    mpc_abs, mpc_one, mpc_sub, mpf_gt, mpf_le, pi_fixed, round_nearest, to_fixed, to_float,
-    to_int,
+    dps_to_prec, from_man_exp, from_rational, fzero, ln2_fixed, pi_fixed, round_nearest, to_fixed,
+    to_float,
 )
-from mpmath.libmp.gammazeta import borwein_coefficients, cos_sin_fixed, exp_fixed, log_int_fixed
+from mpmath.libmp.gammazeta import cos_sin_fixed, exp_fixed, log_int_fixed
 
 from .errors import DomainError, TruncationBoundError
 from .precision import digits
@@ -418,65 +425,67 @@ def zeta_cx(s, prec=None) -> mpc:
         return +v
 
 
-# ((key, ((log k, amplitude), ...)), ...) of `_borwein_setup`, k = 1, 2, ...,
-# key = (to_fixed(Re s, wp), wp), the most recently grown key first; grows by
-# rebinding, like _BERNOULLI, and keeps at most _AMPLITUDE_KEYS keys
+# ((key, ((log k, amplitude, its float, its charge), ...)), ...) of
+# `_amplitudes`, k = 1, 2, ..., key = (to_fixed(Re s, wp), wp), the most
+# recently grown key first; grows by rebinding, like _BERNOULLI, and keeps at
+# most _AMPLITUDE_KEYS keys
 _AMPLITUDES: tuple = ()
 _AMPLITUDE_KEYS = 8
 
+# (bits, (X_2, X_4, ...)) of `_em_coefficients`, X_2j the entry of
+# `_hurwitz_fixed(., 1, 1, bits)` for zeta(2j); grows by rebinding, like
+# _BERNOULLI, and is first built by the first call that needs it
+_EVEN_ZETA: tuple = (0, ())
 
-def _borwein_setup(s: mpc):
-    """The setup of `_zeta_bounded`'s Borwein sum, or None where mpmath.zeta
-    takes s.
 
-    None for Re s <= 1/2 (the Rice lines sit at Re s = 3/2), and where mpmath
-    1.3.0's `libmp.mpc_zeta` does not take Borwein's algorithm either: for
-    real s, for |s| > prec at 10 bits (the left line's far nodes), and
-    within 2^-wp/2 of the pole.  As there: wp = prec + 20 (more near the
-    pole), n = int(wp/2.54 + 5) + int(0.9 |Im s|), d =
-    `borwein_coefficients(n)`, and for k < n the weight (k+1)^-Re(s) (-1)^k
-    (d_k - d_n), fixed at wp bits, next to log(k+1) from `log_int_fixed`.
-    The amplitude exp_fixed((-ref log k) >> wp, wp) is read from
-    `_AMPLITUDES`: on a vertical line Re s and wp are fixed, so only the
-    phase k^-i Im(s) is new at each node.  An entry is read only where its
-    stored log k equals the one `log_int_fixed` returns now, as mpmath's log
-    cache can refine that value; otherwise it is computed and stored afresh.
-    Returns (wp, d, [log(k+1)], [weight]).
+def _amplitudes(ref: int, wp: int, n: int) -> tuple[list, tuple]:
+    """([log k], [(log k, a_k, float k^-sigma, d_k)]) for k = 1..n: a_k within
+    d_k units of 2^wp k^-sigma, sigma = ref 2^-wp exactly.
+
+    log k is `log_int_fixed`'s, floored from at least wp + 10 bits (mpf_log
+    at wp + 15), so within 1.01 units, and a_k = exp_fixed(x_k, wp), x_k =
+    (-ref log k) >> wp.  They are read from `_AMPLITUDES`: on a vertical line
+    sigma and wp are fixed, so only the phase k^-it is new at each node.  An
+    entry is read only where its stored log k equals the one `log_int_fixed`
+    returns now, as mpmath's log cache can refine that value; otherwise it is
+    computed and stored afresh.  The charge d_k:
+    - x_k is within 1.01 |sigma| + 1 units of -sigma ln k 2^wp (log k, then
+      the shift).  exp_fixed takes n = floor(x_k / ln2), ln 2 floored at wp
+      bits (within 1.01 units) and |n| <= |sigma| log2 k + 1, so its reduced
+      argument r in [0, ln 2) is within D_k = 1.01 |sigma| + 1 + 1.01 |n|
+      units of the exact one; as e^r < 2, that moves e^r by under 2.01 D_k.
+    - exp_basecase(r) is within C' = 4 ceil(wp/q) + 8 units of 2^wp e^r, q =
+      floor(sqrt wp): up to 600 bits it sums its series in r 2^-q at wp + q
+      bits, each term within 2 units, squares q times and drops q bits;
+      above, `exponential_series` works 10 + 2q' bits finer and loses at most
+      2q' of them in q' squarings, within 2 units.
+    - The shift by n multiplies both by 2^n <= k^-sigma (1 + 2^-40), or
+      divides by 2^-n and floors (one more unit).
+    So d_k = k^-sigma (C' + 2.01 D_k) (1 + 2^-40) + 1, the 2^-40 also
+    covering the float k^-sigma.
     """
     global _AMPLITUDES
-    prec = mpmath.mp.prec
-    re, im = s._mpc_
-    if (mpf_le(re, fhalf) or im == fzero
-            or mpf_gt(mpc_abs(s._mpc_, 10), from_int(prec))):
-        return None
-    wp = prec + 20
-    _, _, aexp, abc = mpc_abs(mpc_sub(mpc_one, s._mpc_, wp), 10)
-    pole_dist = -2 * (aexp + abc)
-    if pole_dist > wp:
-        return None
-    wp += max(0, pole_dist)
-
-    n = int(wp / 2.54 + 5) + int(0.9 * abs(to_int(im)))
-    d = borwein_coefficients(n)
-    ref = to_fixed(re, wp)
     key = (ref, wp)
     table = next((amps for held, amps in _AMPLITUDES if held == key), ())
     ln2 = ln2_fixed(wp)
     logs = [log_int_fixed(k, wp, ln2) for k in range(1, n + 1)]
-    if len(table) < n or any(held != log for (held, _), log in zip(table, logs)):
+    if len(table) < n or any(held[0] != log for held, log in zip(table, logs)):
+        mag = abs(ref / (1 << wp))
+        cexp = 4 * -(-wp // math.isqrt(wp)) + 8
         grown = list(table)
-        for k, log in enumerate(logs):
-            if k == len(grown) or grown[k][0] != log:  # replaces entry k, or appends it
-                grown[k:k + 1] = [(log, exp_fixed((-ref * log) >> wp, wp))]
+        for k, log in enumerate(logs, 1):
+            if k > len(grown) or grown[k - 1][0] != log:  # replaces entry k, or appends it
+                amp = k ** (ref / -(1 << wp))
+                reduced = 1.01 * mag + 1 + 1.01 * (mag * math.log2(k) + 1)
+                charge = amp * (cexp + 2.01 * reduced) * (1 + 2.0**-40) + 1
+                grown[k - 1:k] = [(log, exp_fixed((-ref * log) >> wp, wp, ln2), amp, charge)]
         others = tuple(item for item in _AMPLITUDES if item[0] != key)
         _AMPLITUDES = ((key, tuple(grown)),) + others[: _AMPLITUDE_KEYS - 1]
         table = grown
-    dn = d[n]
-    weights = [w * (dn - dk if k & 1 else dk - dn) for k, ((_, w), dk) in enumerate(zip(table[:n], d))]
-    return wp, d, logs, weights
+    return logs, table[:n]
 
 
-def _borwein_phases(imf: int, logs: list, wp: int) -> tuple[list, list, list]:
+def _dirichlet_phases(imf: int, logs: list, wp: int) -> tuple[list, list, list]:
     """([Re c_k], [Im c_k], [e_k]) for k = 1..len(logs) (index 0 unused):
     c_k approximates 2^wp k^-it, t = imf 2^-wp, within e_k units in modulus.
 
@@ -496,7 +505,7 @@ def _borwein_phases(imf: int, logs: list, wp: int) -> tuple[list, list, list]:
       under one unit, as pi2 = floor(pi 2^(wp-1)).
     - 1.01 |t|: log p from `log_int_fixed` is floored from at least wp + 10
       bits (mpf_log at wp + 15), so it errs by under 1.01 units.
-    - ln p, as imf is t floored (exact for the Rice nodes), and 1 for the
+    - ln p, as imf is t floored (exact for `_zeta_bounded`), and 1 for the
       shift that floors x_p.
     A composite k = p (k/p), p its least prime factor, is one product of
     held phases with both parts floored: e_k = e_p + e_(k/p) + 2, as |ab -
@@ -525,90 +534,177 @@ def _borwein_phases(imf: int, logs: list, wp: int) -> tuple[list, list, list]:
     return res, ims, charges
 
 
+def _em_coefficients(wp: int, m: int) -> list[int]:
+    """[beta_j] for j = 1..m, beta_j = B_2j (2 pi)^2j / (2j)! = (-1)^(j+1)
+    2 zeta(2j), each within 1.5 units of 2^wp beta_j.
+
+    `_EVEN_ZETA` holds X_2j within 2 units of 2^bits zeta(2j), bits >= wp +
+    3 (`_hurwitz_fixed`, whose even entries come from the closed form
+    |B_2j| (2 pi)^2j / (2 (2j)!) up to its last tail); X_2j shifted down by
+    d = bits - wp - 1 >= 2 is within 2/2^d + 1 <= 1.5 units of 2^wp 2
+    zeta(2j).  A request for more bits rebuilds the table and one for more
+    entries appends them (`bottom`), as in `_zeta_rounded`.
+    """
+    global _EVEN_ZETA
+    bits, held = _EVEN_ZETA
+    top = max(m, len(held))
+    if bits < wp + 3:
+        bits, held = wp + 3, ()
+    if len(held) < m:
+        first = 2 * len(held) + 2
+        held += tuple(_hurwitz_fixed(2 * top, 1, 1, bits, bottom=first)[first::2])
+        _EVEN_ZETA = (bits, held)
+    d = bits - wp - 1
+    return [x >> d if j & 1 else -(x >> d) for j, x in enumerate(held[:m], 1)]
+
+
+@functools.lru_cache(maxsize=4096)
+def _em_sizes(sigma: float, wp: int, band: int) -> tuple:
+    """(N, M, R, H, e_H) of `_zeta_bounded` at wp bits, for every s = sigma +
+    it with floor(|t|/2 pi) = band.
+
+    N = floor(wp/7) + 3 + band, and M the first count of corrections whose
+    remainder R, in units 2^-wp, is below 1, with (Johansson 2014, Thm 1,
+    for sigma + 2M > 1)
+
+        R <= 4 |(s)_2M| / (2 pi N)^2M N^(1-sigma) / (sigma + 2M - 1).
+
+    The Horner scheme of the corrections multiplies by r_j = (s + 2j - 1)(s
+    + 2j) / (2 pi N)^2, j < M; where some |r_j| >= 1 comes first, rounding
+    would grow, and N takes N - band more terms and M is sought afresh.
+    |s + k| grows with |t|, so R and every |r_j| are taken at |t| = T =
+    6.3 (band + 1), above every |t| of the band.  H bounds |h_1| and e_H the
+    units of its error in the scheme h_M = beta_M, h_j = beta_j + r_j
+    h_(j+1): with |beta_j| = 2 zeta(2j) <= 2 + 6 4^-j, |h_M| <= that and
+    |h_j| <= |beta_j| + |r_j| |h_(j+1)|; e_M = 1.5 and e_j = 3 + (|r_j| +
+    2^(-1-wp)) e_(j+1) + |h_(j+1)|/2: beta_j's 1.5 units, the product's two
+    floors, and r~_j within half a unit of r_j (`_zeta_bounded`).  Each
+    float here errs by a few parts in 2^52, which the 2^-30 that
+    `_zeta_bounded` adds covers.
+    """
+    T = 6.3 * (band + 1)
+    tol = -wp * math.log(2)
+    N = wp // 7 + 3 + band
+    while True:
+        D = (2 * math.pi * N) ** 2
+        log_rem = math.log(4) + (1 - sigma) * math.log(N)
+        ratios = []
+        for M in itertools.count(1):
+            log_rem += math.log(math.hypot(sigma + 2 * M - 2, T) * math.hypot(sigma + 2 * M - 1, T) / D)
+            if sigma + 2 * M > 1 and log_rem - math.log(sigma + 2 * M - 1) < tol:
+                h_bound, h_err = 2 + 6 * 4.0**-M, 1.5
+                for j in range(M - 1, 0, -1):
+                    r = ratios[j - 1]
+                    h_bound, h_err = (2 + 6 * 4.0**-j + r * h_bound,
+                                      3 + (r + 2.0 ** (-1 - wp)) * h_err + h_bound / 2)
+                return N, M, math.exp(log_rem - math.log(sigma + 2 * M - 1) - tol), h_bound, h_err
+            ratios.append(math.hypot(sigma + 2 * M - 1, T) * math.hypot(sigma + 2 * M, T) / D)
+            if ratios[-1] >= 1:
+                break
+        N += N - band
+
+
 def _zeta_bounded(s: mpc) -> tuple[mpc, mpf]:
     """(zeta(s) at the ambient precision, an absolute error bound) for a
     complex s; the mpmath nodes of the Rice lines take zeta from here.
 
-    For Re s > 1/2 where `_borwein_setup` serves s: Borwein's sum with the
-    setup's wp, n, coefficients and amplitudes, and phases from
-    `_borwein_phases`, one `cos_sin_fixed` call per prime k.  With u =
-    2^-wp, S = -(1/d_n) sum_(k<n) (-1)^k (d_k - d_n) (k+1)^-s, z = the
-    fixed-point sum divided by -d_n and floored, q' = 1 - 2 a_2 c_2 (a_2 the
-    amplitude 2^-Re(s), c_2 the phase 2^-it, both held), and v = z/q'
-    with each part rounded once from the exact quotient, the bound is
+    Euler-Maclaurin summation in fixed point at wp = prec + 20 bits, or more
+    where Re s or Im s needs them to be exact:
 
-        2^(1-prec) |v| + (E + tau + (|z| + 1) D / Q) u / Q,  Q = |q'| - D u,
+        zeta(s) = sum_(k<N) k^-s + N^(1-s)/(s-1) + N^-s/2
+                  + N^(1-s) s/(2 pi N)^2 sum_(j<=M) beta_j r_1 ... r_(j-1) + R,
 
-    each term an upper bound for one source of error:
-    - tau: Borwein's truncation.  zeta(s) = S/(1 - 2^(1-s)) + g, |g| <= 3
-      (3 + sqrt 8)^-n (1 + 2|t|) e^(pi|t|/2) / |1 - 2^(1-s)| for Re s >= 1/2
-      (P. Borwein, "An efficient algorithm for the Riemann zeta function",
-      CMS Conf. Proc. 27 (2000), Prop. 1; the 3 bounds his 2/|Gamma(s)|
-      there); tau is that numerator in units u.  The setup keeps mpmath's n,
-      as it already keeps tau < 4: with |t| truncated first, n >= wp/2.54 +
-      2.1 + 0.9|t|, so log2 tau <= log2(3 (1 + 2|t|)) + 2.2662|t| - 2.5431 n
-      + wp <= log2(1 + 2|t|) - 3.75 - 0.0226|t| < 2 (1.8 near |t| = 62).
-    - E: the units of |z - S|.  A phase errs by e_k (`_borwein_phases`),
-      an amplitude by A = C' + 4 + 1.01 s + 0.74 (1 + s/ln 2), s = Re s, C'
-      = 4 ceil(wp/r) + 8, r = floor(sqrt wp): exp_fixed's basecase sums its
-      series in x 2^-r at wp + r bits, each term within 2 units, squares r
-      times and drops r bits; its argument errs by 1.01 s (log k) + ln k
-      (ref floored) + 1 (the shift) + |N| <= s ln k / ln 2 + 1 (the ln 2
-      reductions), times k^-s, and k^-s ln k <= 1/(e s).  With |d_k - d_n|
-      <= d_n and k^-s <= 1, and sqrt 2 for the two floors of each term and
-      for the floored division by -d_n (n sqrt 2 / d_n <= sqrt 2 in all):
-      E = n A + sum_k e_k + 3.
-    - D = 2 (A + e_2) + 3: the units of |q' - (1 - 2^(1-s))|; 2 a_2 c_2
-      is one product of two held values, each part floored at wp - 1 bits
-      (2 sqrt 2 units).
+    beta_j = B_2j (2 pi)^2j/(2j)! (`_em_coefficients`), r_j = (s + 2j - 1)(s
+    + 2j)/(2 pi N)^2, N, M and R as `_em_sizes` chooses them, and the last
+    sum by Horner's scheme.  Each k^-s is an amplitude from `_amplitudes`
+    times a phase from `_dirichlet_phases`, one `cos_sin_fixed` call per
+    prime k.  With u = 2^-wp, the bound is
+
+        2^(1-prec) |v| + (E_head + E_tail + E_corr + R) (1 + 2^-30) u,
+
+    v the sum rounded once to prec bits, each term an upper bound in units u
+    for one source of error:
+    - E_head = sum_(k<N) (d_k + k^-sigma e_k) + 1.5: amplitude and phase
+      errors (`_amplitudes`, `_dirichlet_phases`), as |ac - AC| <= |a - A|
+      |c| + A |c - C|, and the one floor of the exact sum of products.
+    - E_tail = e_z (N/|s - 1| + 1/2) + 3, e_z = d_N + N^-sigma e_N + 1.5 the
+      units of N^-s (one floored product): N^(1-s) = N N^-s is exact, the
+      division by s - 1 is exact before its floors, and N^-s/2 floors once.
+    - E_corr = (P + e_P u) e_H + H e_P + 1.5, P = N^(1-sigma) |s|/(2 pi N)^2
+      the prefactor's modulus and e_P = N e_z |s|/(2 pi N)^2 + P/2 + 1.5 its
+      error.  1/(2 pi N)^2 is held at G = wp + g bits, 2^g > 10 Z^2 + 40
+      N^2, Z = |sigma| + |t| + 2M + 1: c2 = floor(2^G/(2 pi~ N)^2), pi~ = pi
+      floored at G bits, is within 2 units (at G bits) of 2^G/(2 pi N)^2.
+      So the prefactor, one floor of its exact numerator times c2, errs by
+      N e_z |s|/(2 pi N)^2 + 2 P (2 pi N)^2 2^-g + 1.5 <= e_P units.  The
+      r_j are held as (R_j + i I_j) 2^-G, R_j = c0 + (4j - 1) c1 + (4j^2 -
+      2j) c2 and I_j = d0 + 4j d1 stepped exactly from j = M - 1, c1, d1,
+      c0 and d0 = sigma, t, sigma^2 - t^2 and t (2 sigma - 1) times c2, each
+      floored: within 2 |x| + 1 units of x 2^G/(2 pi N)^2, so R_j + i I_j
+      is within 4 Z^2 + 8M + 1 <= 5 Z^2 units of 2^G r_j, and r~_j within
+      half a unit (u) of r_j.  H and e_H are `_em_sizes`'s.
+    - R from `_em_sizes`; the 2^-30 covers its floats and the other
+      products of two errors.
     - 2^(1-prec) |v|: each part of v is within 2^-prec of its exact value,
-      relative (`from_rational` rounds correctly, to nearest by default).
-    Every other input (where the setup hands s on, and s so near a zero of
-    1 - 2^(1-s) that Q <= 0) takes mpmath.zeta(s), charged 2^(1-prec) |v|:
-    an allowance, as mpmath proves no bound on it.
+      relative (`from_man_exp` rounds to nearest).
+    Real s takes mpmath.zeta(s) instead, charged 2^(1-prec) |v|: an
+    allowance, as mpmath proves no bound on it.  The charges are floats, so
+    the bound needs |Re s| below about 150, where k^-sigma stays finite.
     """
     prec, rnd = mpmath.mp._prec_rounding
     re, im = s._mpc_
-    setup = _borwein_setup(s)
-    if setup is None:
-        return _zeta_allowed(s, prec)
-    wp, d, logs, weights = setup
-    res, ims, charges = _borwein_phases(to_fixed(im, wp), logs, wp)
-    tre = tim = MPZ_ZERO
-    for w, cre, cim in zip(weights, res[1:], ims[1:]):
-        tre += (w * cre) >> wp
-        tim += (w * cim) >> wp
-    tre, tim = tre // -d[-1], tim // -d[-1]
-    amp2 = weights[1] // (d[-1] - d[1])
-    qre, qim = (1 << wp) - (amp2 * res[2] >> (wp - 1)), -(amp2 * ims[2] >> (wp - 1))
-    den = qre * qre + qim * qim
-    v = (from_rational(tre * qre + tim * qim, den, prec, rnd),
-         from_rational(tim * qre - tre * qim, den, prec, rnd))
+    if im == fzero:  # charged 2^(1-prec) |v|, an allowance
+        v = mpmath.zeta(s)
+        return v, mpmath.ldexp(abs(v), 1 - prec)
+    wp = max(prec + 20, -re[2] if re[1] else 0, -im[2])  # Re s and Im s exact at wp bits
+    one = 1 << wp
+    sig, tf = to_fixed(re, wp), to_fixed(im, wp)
+    sigma, t = to_float(re), to_float(im)
+    N, M, rem, h_bound, h_err = _em_sizes(sigma, wp, int(abs(t) / (2 * math.pi)))
+    logs, amps = _amplitudes(sig, wp, N)
+    res, ims, charges = _dirichlet_phases(tf, logs, wp)
+    amp = [a for _, a, _, _ in amps]
+    sre = sum(map(operator.mul, amp[:-1], res[1:N])) >> wp
+    sim = sum(map(operator.mul, amp[:-1], ims[1:N])) >> wp
+    zre, zim = (amp[-1] * res[N]) >> wp, (amp[-1] * ims[N]) >> wp  # N^-s
+    wre, wim = N * zre, N * zim  # N^(1-s)
+    a, b = sig - one, tf  # s - 1
+    den = a * a + b * b
+    sre += (((wre * a + wim * b) << wp) // den) + (zre >> 1)
+    sim += (((wim * a - wre * b) << wp) // den) + (zim >> 1)
 
-    n, sigma, t = len(logs), to_float(re), abs(to_float(im))
-    amp = 4 * -(-wp // math.isqrt(wp)) + 12 + 1.01 * sigma + 0.74 * (1 + sigma / math.log(2))
-    E = n * amp + sum(charges) + 3
-    D = 2 * (amp + charges[2]) + 3
-    tau = 2.0 ** (wp + math.log2(3 * (1 + 2 * t)) + math.pi * t / (2 * math.log(2))
-                  - n * math.log2(3 + math.sqrt(8)))
-    Q = _abs_float(qre, qim, wp) * (1 - 2.0 ** -50) - math.ldexp(D, -wp)
-    if Q <= 0:  # s within about D u of a zero of 1 - 2^(1-s)
-        return _zeta_allowed(s, prec)
-    units = (E + tau + (_abs_float(tre, tim, wp) + 1) * D / Q) / Q
+    # 1/(2 pi N)^2 and the r_j at G = wp + g bits, the r_j stepped from j = M - 1
+    g = (10 * (int(abs(sigma) + abs(t)) + 2 * M + 2) ** 2 + 40 * N * N).bit_length()
+    G = wp + g
+    two_pi_n = 2 * N * pi_fixed(G)
+    c2 = (1 << 3 * G) // (two_pi_n * two_pi_n)  # 2^G / (2 pi N)^2
+    c1, d1 = (sig * c2) >> wp, (tf * c2) >> wp
+    c0, d0 = ((sig * sig - tf * tf) * c2) >> 2 * wp, ((tf * (2 * sig - one)) * c2) >> 2 * wp
+    R, I = c0 + (4 * M - 5) * c1 + (2 * M - 2) * (2 * M - 3) * c2, d0 + (4 * M - 4) * d1
+    step, step2, istep = 4 * c1 + (8 * M - 14) * c2, 8 * c2, 4 * d1  # R_j - R_(j-1), ...
+    betas = _em_coefficients(wp, M)
+    hre, him = betas[-1], 0
+    for beta in reversed(betas[:-1]):
+        hre, him = beta + ((R * hre - I * him) >> G), (R * him + I * hre) >> G
+        R, step, I = R - step, step - step2, I - istep
+    pre = ((wre * sig - wim * tf) * c2) >> (2 * wp + g)
+    pim = ((wre * tf + wim * sig) * c2) >> (2 * wp + g)
+    sre += (pre * hre - pim * him) >> wp
+    sim += (pre * him + pim * hre) >> wp
+    v = (from_man_exp(sre, -wp, prec, rnd), from_man_exp(sim, -wp, prec, rnd))
+
+    afl, dfl = [a for _, _, a, _ in amps], [d for *_, d in amps]
+    e_head = sum(dfl[:-1]) + sum(map(operator.mul, afl[:-1], charges[1:N])) + 1.5
+    e_z = dfl[-1] + afl[-1] * charges[N] + 1.5
+    abs_s, D = math.hypot(sigma, t), (2 * math.pi * N) ** 2
+    P = afl[-1] * N * abs_s / D
+    e_tail = e_z * (N / math.hypot(sigma - 1, t) + 0.5) + 3
+    e_P = N * e_z * abs_s / D + P / 2 + 1.5
+    e_corr = (P + math.ldexp(e_P, -wp)) * h_err + h_bound * e_P + 1.5
+    units = (e_head + e_tail + e_corr + rem) * (1 + 2.0**-30)
     units += math.ldexp(math.hypot(to_float(v[0]), to_float(v[1])), wp + 1 - prec)
-    bound = from_man_exp(math.ceil(units * (1 + 2.0 ** -40)), -wp)
+    bound = from_man_exp(math.ceil(units * (1 + 2.0**-40)), -wp)
     return mpmath.mp.make_mpc(v), mpmath.mp.make_mpf(bound)
-
-
-def _zeta_allowed(s: mpc, prec: int) -> tuple[mpc, mpf]:
-    """mpmath.zeta(s) and its allowance 2^(1-prec) |zeta(s)|."""
-    v = mpmath.zeta(s)
-    return v, mpmath.ldexp(abs(v), 1 - prec)
-
-
-def _abs_float(re: int, im: int, wp: int) -> float:
-    """|re + i im| 2^-wp as a float."""
-    return math.hypot(to_float(from_man_exp(re, -wp)), to_float(from_man_exp(im, -wp)))
 
 
 def _least_prime_factors(limit: int) -> list[int]:

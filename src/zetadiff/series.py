@@ -161,7 +161,10 @@ def newton_eval(s, N: int, prec: PrecisionBudget | int = 15):
     if not isinstance(N, int) or N < 1:
         raise DomainError(f"truncation order must be an integer >= 1, got {N!r}")
     target, working = digits(prec, 12 + math.ceil(math.log10(N + 1)))
-    s = mpmath.mpmathify(s)
+    try:
+        s = mpmath.mpmathify(s)
+    except (TypeError, ValueError):  # not a number: None, "abc"
+        raise DomainError(f"evaluation point must be a number, got {s!r}") from None
     if not mpmath.isfinite(s):
         raise DomainError(f"evaluation point must be finite, got {s}")
     if isinstance(s, mpmath.mpc) and s.imag == 0:

@@ -252,8 +252,8 @@ def test_rice_kernel_within_its_stated_bound(n, c, t3, dps):
 
 @pytest.mark.parametrize("n, target", [(5, 10), (20, 10), (60, 20), (100, 30)])
 def test_left_line_integrand_within_30_units_of_its_working_digits(n, target):
-    # the reflection factor's exponentials need digits that grow with log t;
-    # at plain working digits this grid reads 520 to 1,100 units
+    # zeta(-1/2 + it) comes straight from `mpcore._zeta_bounded`, out to the
+    # far nodes past t = prec
     working, f = contour._line_data("zeta-left", n, target)[:2]
     for k in range(14):
         with workdps(working):
@@ -396,6 +396,12 @@ def test_rice_lines_share_the_bounded_amplitude_table(monkeypatch):
     # the inverse line sits on Re s = 3/2 too: no new key at the same digits
     assert contour._line_data("inv-zeta", 6, 11)[0] == working
     contour.rice_integral("inv-zeta", 6, 11)
+    assert {key for key, _ in mpcore._AMPLITUDES} == keys
+    # the left line, at Re s = -1/2, holds one table of its own
+    working = contour._line_data("zeta-left", 20, 10)[0]
+    wp = dps_to_prec(working) + 20
+    contour.rice_integral("zeta-left", 20, 10)
+    keys.add((to_fixed(from_str("-0.5", wp), wp), wp))
     assert {key for key, _ in mpcore._AMPLITUDES} == keys
     for dps in range(10, 30):
         with workdps(dps):

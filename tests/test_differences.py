@@ -268,8 +268,11 @@ def test_nonpositive_precision_is_a_domain_error(call, prec):
         lambda: series.newton_eval(mpmath.nan, 10),
         lambda: contour.rice_integral("zeta-right", 6, 10, T="x"),
         lambda: precision.parse_decimal("abc"),
+        lambda: series.newton_eval("abc", 10),
+        lambda: series.newton_eval(None, 10),
     ],
-    ids=["newton_eval-inf", "newton_eval-nan", "rice_integral-T", "parse_decimal"],
+    ids=["newton_eval-inf", "newton_eval-nan", "rice_integral-T", "parse_decimal", "newton_eval-abc",
+         "newton_eval-None"],
 )
 def test_bad_library_inputs_are_domain_errors(call):
     with pytest.raises(DomainError):

@@ -201,14 +201,15 @@ def _check_bounded(s, value, bound, fell):
 
 @pytest.mark.parametrize("s, dps, falls_back", [
     (("2.5", "0"), 30, True),  # real s
-    (("-0.5", "7"), 30, True),  # Re s < 0
-    (("0.5", "14"), 30, True),  # Re s <= 1/2, left of the Rice lines
-    (("1", "1e-30"), 30, True),  # within 2^-wp/2 of the pole
-    (("1", "1e-30"), 70, False),  # the pole is farther at 70 digits; wp grows
+    (("-0.5", "7"), 30, False),  # Re s < 0
+    (("0.5", "14"), 30, False),  # on the critical line
+    (("1", "1e-30"), 30, False),  # near the pole: 1/(s - 1) is an exact division
+    (("1", "1e-30"), 70, False),
     (("1.5", "3"), 30, False),
-    (("0.25", "14"), 30, True),  # 0 < Re s < 1/2, where mpmath takes Borwein
+    (("0.25", "14"), 30, False),  # 0 < Re s < 1/2
 ])
 def test_zeta_borwein_branches_as_mpc_zeta(monkeypatch, s, dps, falls_back):
+    # only real s is handed to mpmath.zeta; every other s has a proven bound
     with workdps(dps):
         s = mpmath.mpc(*s)
         value, bound, fell = _bounded_calls(monkeypatch, s)
@@ -219,23 +220,16 @@ def test_zeta_borwein_branches_as_mpc_zeta(monkeypatch, s, dps, falls_back):
 @pytest.mark.parametrize("dps", [20, 45, 70])
 @pytest.mark.parametrize("offset", ["-0.9", "-0.5", "0.04", "0.5", "0.9"])
 def test_zeta_borwein_tests_abs_s_at_ten_bits_like_mpmath(monkeypatch, dps, offset):
-    # |s| = prec + offset: at 10 bits, rounded down, |s| = prec + 0.04 reads
-    # prec, so mpmath takes Borwein's algorithm where an exact test would not;
-    # the left line's far nodes sit on either side of this edge
+    # |s| = prec + offset: mpmath's own zeta leaves Borwein's algorithm where
+    # |s| at 10 bits exceeds prec; the Euler-Maclaurin route has no such edge
+    # and bounds s on both sides of it
     with workdps(dps):
         prec = mpmath.mp.prec
         t = mpmath.sqrt((prec + mpf(offset)) ** 2 - mpf("2.25"))
         s = mpmath.mpc("1.5", t)
         value, bound, fell = _bounded_calls(monkeypatch, s)
-        _check_bounded(s, value, bound, fell)
-        try:
-            libmp.mpc_zeta(s._mpc_, prec, round_nearest)
-            borwein = True
-        except NotImplementedError:
-            borwein = False
-        assert fell != borwein
-    if offset == "0.04":
         assert not fell
+        _check_bounded(s, value, bound, fell)
 
 
 def test_zeta_borwein_recomputes_an_amplitude_whose_log_moved(monkeypatch):
@@ -247,7 +241,8 @@ def test_zeta_borwein_recomputes_an_amplitude_whose_log_moved(monkeypatch):
         want = mpcore._zeta_bounded(s)
         (key, table), = mpcore._AMPLITUDES
         stale = list(table)
-        stale[3] = (stale[3][0] + 1, stale[3][1] + 12345)
+        log, amp, *floats = stale[3]
+        stale[3] = (log + 1, amp + 12345, *floats)
         monkeypatch.setattr(mpcore, "_AMPLITUDES", ((key, tuple(stale)),))
         assert mpcore._zeta_bounded(s) == want
         assert mpcore._AMPLITUDES == ((key, table),)
@@ -459,31 +454,35 @@ def test_zeta_rounded_from_threads_gives_zeta_int_bits(monkeypatch):
     assert list(table) == mpcore._hurwitz_fixed(len(table) - 1, 1, 1, cbits)
 
 
-# Re s = 3/2 at heights across the Rice lines' mpmath nodes: zeta(3/2 + it)
-# on the right and inverse lines, zeta(3/2 - it) for the left line's 1 - s
+# both Rice lines, Re s = 3/2 and -1/2, at heights across their mpmath nodes
+# and beyond (the far left-line nodes pass t = prec)
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(
-    t=st.floats(0.01, 130, allow_nan=False),
+    sigma=st.sampled_from(["1.5", "-0.5"]),
+    t=st.floats(0.01, 400, allow_nan=False),
     sign=st.sampled_from([1, -1]),
     dps=st.integers(10, 60),
 )
-@example(t=130.0, sign=1, dps=60)
-@example(t=0.01, sign=-1, dps=10)
-@example(t=36.0, sign=1, dps=10)  # at the |s| <= prec edge of the Borwein branch
-def test_zeta_bounded_within_its_bound(t, sign, dps):
+@example(sigma="1.5", t=400.0, sign=1, dps=60)
+@example(sigma="-0.5", t=0.01, sign=-1, dps=10)
+# the old |s| = prec edge, where mpmath leaves Borwein's algorithm
+@example(sigma="1.5", t=36.96, sign=1, dps=10)
+@example(sigma="-0.5", t=37.01, sign=1, dps=10)
+@example(sigma="1.5", t=202.99, sign=-1, dps=60)
+@example(sigma="-0.5", t=203.01, sign=1, dps=60)
+def test_zeta_bounded_within_its_bound(sigma, t, sign, dps):
     with workdps(dps):
         prec = mpmath.mp.prec
-        s = mpmath.mpc("1.5", sign * mpf(t))
+        s = mpmath.mpc(sigma, sign * mpf(t))
         value, bound = mpcore._zeta_bounded(s)
-        setup = mpcore._borwein_setup(s)
+        wp = prec + 20
+        sizes = mpcore._em_sizes(float(sigma), wp, int(t / (2 * math.pi)))
+        logs, _ = mpcore._amplitudes(libmp.to_fixed(s._mpc_[0], wp), wp, sizes[0])
     with workdps(dps + 30):
         assert abs(value - mpmath.zeta(s)) <= bound <= mpmath.ldexp(abs(value), 4 - prec)
-    if setup is None:
-        return
     # the phases: each product floored in both parts, each within its charge
-    wp, logs = setup[0], setup[2]
     imf = libmp.to_fixed(s._mpc_[1], wp)
-    res, ims, charges = mpcore._borwein_phases(imf, logs, wp)
+    res, ims, charges = mpcore._dirichlet_phases(imf, logs, wp)
     spf = mpcore._least_prime_factors(len(logs))
     with workdps(dps + 30):
         for k in range(2, len(logs) + 1):
@@ -500,9 +499,11 @@ def test_zeta_bounded_within_its_bound(t, sign, dps):
 def test_zeta_bounded_calls_cos_sin_fixed_at_primes_only(monkeypatch):
     with workdps(30):
         s = mpmath.mpc("1.5", "7.25")
-        wp, _, logs, _ = mpcore._borwein_setup(s)
+        wp = mpmath.mp.prec + 20
+        n = mpcore._em_sizes(1.5, wp, 1)[0]
+        logs, _ = mpcore._amplitudes(libmp.to_fixed(s._mpc_[0], wp), wp, n)
         imf = libmp.to_fixed(s._mpc_[1], wp)
-        primes = [k for k in range(2, len(logs) + 1) if all(k % j for j in range(2, k))]
+        primes = [k for k in range(2, n + 1) if all(k % j for j in range(2, k))]
         seen = []
         real = mpcore.cos_sin_fixed
 
@@ -513,16 +514,30 @@ def test_zeta_bounded_calls_cos_sin_fixed_at_primes_only(monkeypatch):
         monkeypatch.setattr(mpcore, "cos_sin_fixed", spy)
         mpcore._zeta_bounded(s)
     assert seen == [(-imf * logs[p - 1]) >> wp for p in primes]
-    assert (len(logs), len(primes)) == (59, 17)
+    assert (n, len(primes)) == (21, 8)
 
 
-def test_mpmath_term_count_keeps_borwein_truncation_below_four_units():
-    # 3 (3 + sqrt 8)^-n (1 + 2t) e^(pi t/2) < 4 2^-wp at mpmath's n, which
-    # truncates t before it takes 0.9 t; worst just below t = 62
-    for wp in range(24, 2400, 7):
-        for ti in range(0, 3000):
-            t = ti + 0.999999
-            n = int(wp / 2.54 + 5) + int(0.9 * ti)
-            tau = (math.log2(3 * (1 + 2 * t)) + math.pi * t / (2 * math.log(2))
-                   - n * math.log2(3 + math.sqrt(8)))
-            assert tau < 2 - wp, (wp, t)
+def test_em_sizes_keep_the_remainder_below_one_unit():
+    # Johansson's remainder 4 |(s)_2M| / (2 pi N)^2M N^(1-sigma) / (sigma +
+    # 2M - 1), from log Gamma at the top of each height band, is below one
+    # unit 2^-wp and below the R returned, and |r_j| < 1 for j < M, on both
+    # lines for wp 24..2400 and |t| up to 3000
+    heights = [0.0, 1.0, 30.0, 62.0, 180.0, 700.0, 1500.0, 3000.0]
+    heights += [2 * math.pi * j - 1e-9 for j in (1, 10, 100, 477)]
+    with workdps(20):
+        for sigma in (1.5, -0.5):
+            for wp in range(24, 2401, 97):
+                for t in heights:
+                    band = int(t / (2 * math.pi))
+                    n, m, rem, _, _ = mpcore._em_sizes(sigma, wp, band)
+                    top = mpf(2 * math.pi) * (band + 1)
+                    s = mpmath.mpc(sigma, top)
+                    log_r = (mpmath.log(4) + (mpmath.loggamma(s + 2 * m) - mpmath.loggamma(s)).real
+                             - 2 * m * mpmath.log(2 * mpmath.pi * n) + (1 - sigma) * mpmath.log(n)
+                             - mpmath.log(sigma + 2 * m - 1))
+                    assert sigma + 2 * m > 1
+                    assert log_r < -wp * mpmath.log(2), (sigma, wp, t)
+                    assert mpmath.exp(log_r + wp * mpmath.log(2)) <= rem * (1 + 2.0**-30)
+                    # |s + k| grows with k >= 1 here, so r_(M-1) is the largest
+                    last = abs((s + 2 * m - 3) * (s + 2 * m - 2)) if m > 1 else 0
+                    assert last < (2 * mpmath.pi * n) ** 2, (sigma, wp, t)
